@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json fmt fuzz-smoke server-smoke topology-smoke fsck-smoke trace-smoke sketch-smoke conformance cover all
+.PHONY: build test race vet bench bench-json fmt fuzz-smoke server-smoke topology-smoke fsck-smoke trace-smoke sketch-smoke conformance cover soibench-test all
 
 all: build vet test
 
@@ -21,8 +21,10 @@ bench:
 
 # Machine-readable benchmark baseline: run the root and server benchmark
 # suites and convert the combined output to JSON (schema soi.bench/v1) keyed
-# by benchmark name. BENCHTIME=1x gives a smoke run; the committed
-# BENCH_*.json baselines use the default benchtime.
+# by benchmark name. BENCHTIME defaults to 1x, one iteration per benchmark:
+# a smoke run, and the setting the committed BENCH_*.json files were
+# recorded at (every entry has iterations: 1). Pass a real benchtime, e.g.
+# BENCHTIME=1s, for numbers worth comparing.
 BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 
@@ -92,6 +94,12 @@ sketch-smoke:
 conformance:
 	$(GO) test -run 'Conformance|Oracle' -count=2 ./...
 	SOI_INDEX_MMAP=1 $(GO) test -run 'Conformance' -count=1 ./internal/server
+
+# The benchmark program is a module of its own (soi/soibench, with
+# replace soi => ../), so the root `go test ./...` never compiles it. Vet
+# and test it on its own so a library change cannot silently break it.
+soibench-test:
+	cd soibench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage gate: full-suite statement coverage must stay at or above the
 # floor pinned in scripts/coverage-gate.sh (override with COVER_MIN=NN.N).

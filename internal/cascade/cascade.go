@@ -15,11 +15,10 @@ package cascade
 import (
 	"context"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
-	"soi/internal/pool"
 	"soi/internal/rng"
-	"soi/internal/telemetry"
 )
 
 // Activation records one node activation during a simulation.
@@ -62,65 +61,15 @@ func Simulate(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool
 // ExpectedSpread estimates σ(seeds) by Monte Carlo over trials independent
 // IC simulations, parallelized across workers (zero or negative =
 // GOMAXPROCS). The result is deterministic for a fixed seed regardless of
-// worker count. It is ExpectedSpreadCtx under context.Background(); a worker
-// panic (the only possible error there) is re-raised.
+// worker count. It is ExpectedSpreadResumable under context.Background()
+// with a zero checkpoint.Config; a worker panic (the only possible error
+// there) is re-raised.
 func ExpectedSpread(g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int) float64 {
-	est, err := ExpectedSpreadCtx(context.Background(), g, seeds, trials, seed, workers)
+	est, err := ExpectedSpreadResumable(context.Background(), g, seeds, trials, seed, workers, checkpoint.Config{})
 	if err != nil {
 		panic(err)
 	}
 	return est
-}
-
-// ExpectedSpreadCtx is ExpectedSpread with cooperative cancellation: workers
-// check ctx between simulations, so a canceled context returns ctx.Err()
-// promptly. Worker panics are recovered into a *pool.PanicError.
-func ExpectedSpreadCtx(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int) (float64, error) {
-	return ExpectedSpreadTel(ctx, g, seeds, trials, seed, workers, nil)
-}
-
-// ExpectedSpreadTel is ExpectedSpreadCtx with telemetry: tel (nil allowed)
-// receives per-trial cascade sizes (cascade.size), a trial counter
-// (cascade.trials), pool utilization, and a "cascade.expected_spread" span.
-func ExpectedSpreadTel(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int, tel *telemetry.Registry) (float64, error) {
-	if trials <= 0 {
-		return 0, ctx.Err()
-	}
-	master := rng.New(seed)
-	// Pre-split generators so trial i is reproducible regardless of the
-	// worker that runs it.
-	gens := make([]*rng.PCG32, trials)
-	for i := range gens {
-		gens[i] = master.Split(uint64(i))
-	}
-	w := pool.Workers(workers, trials)
-	totals := make([]int64, w)
-	visiteds := make([][]bool, w)
-	mTrials := tel.Counter("cascade.trials")
-	mSize := tel.Histogram("cascade.size")
-	sp := tel.StartSpan("cascade.expected_spread")
-	defer sp.End()
-	err := pool.Run(ctx, trials, pool.Options{Workers: w, Telemetry: tel}, func(worker, i int) error {
-		visited := visiteds[worker]
-		if visited == nil {
-			visited = make([]bool, g.NumNodes())
-			visiteds[worker] = visited
-		}
-		size := simulateSize(g, seeds, gens[i], visited)
-		totals[worker] += int64(size)
-		mTrials.Inc()
-		mSize.Observe(int64(size))
-		sp.AddUnits(1)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, s := range totals {
-		total += s
-	}
-	return float64(total) / float64(trials), nil
 }
 
 // simulateSize is Simulate without recording steps; returns the cascade size.

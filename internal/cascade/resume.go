@@ -3,22 +3,29 @@ package cascade
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"soi/internal/checkpoint"
-	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/pool"
 	"soi/internal/rng"
 )
 
-// ExpectedSpreadResumable is ExpectedSpreadCtx under the crash-safe
-// execution layer: the per-trial cascade sizes are summed into a checkpoint
-// (an order-independent integer total plus the completed-trial bitmap), so a
-// crash or cancellation loses at most one flush interval of simulations and
-// a rerun with the same inputs returns a value bit-identical to an
-// uninterrupted run.
+// ExpectedSpreadResumable estimates σ(seeds) by Monte Carlo over trials
+// independent IC simulations, parallelized across workers (zero or negative
+// = GOMAXPROCS) — the one implementation behind ExpectedSpread. The result
+// is deterministic for a fixed seed regardless of worker count. Workers
+// check ctx between simulations, so a canceled context returns ctx.Err()
+// promptly; worker panics are recovered into a *pool.PanicError. cfg.Telemetry
+// (nil allowed) receives per-trial cascade sizes (cascade.size), a trial
+// counter (cascade.trials), pool utilization, and a
+// "cascade.expected_spread" span. A zero cfg is the plain estimate.
+//
+// With cfg.Path set, the per-trial cascade sizes are summed into a
+// checkpoint (an order-independent integer total plus the completed-trial
+// bitmap), so a crash or cancellation loses at most one flush interval of
+// simulations and a rerun with the same inputs returns a value
+// bit-identical to an uninterrupted run.
 //
 // With cfg.Budget.Deadline set, the estimator stops simulating when the
 // deadline nears and returns the mean over the completed trials together
@@ -28,43 +35,31 @@ func ExpectedSpreadResumable(ctx context.Context, g *graph.Graph, seeds []graph.
 	if trials <= 0 {
 		return 0, ctx.Err()
 	}
-	master := rng.New(seed)
-	gens := make([]*rng.PCG32, trials)
-	for i := range gens {
-		gens[i] = master.Split(uint64(i))
-	}
-
-	// sums[i] is trial i's cascade size, written once before MarkDone(i) and
-	// immutable afterwards; the flusher reads only marked trials.
-	sums := make([]int64, trials)
+	// sums[i] is trial i's cascade size (a node count, so an int32 like a
+	// NodeID), written once before MarkDone(i) and immutable afterwards; the
+	// flusher reads only marked trials.
+	sums := make([]int32, trials)
+	// A checkpoint stores only the total over its trials; a resumed run
+	// carries it here and leaves those trials' sums at zero.
 	var resumedTotal int64
-	resumed := checkpoint.NewBitmap(trials)
-	encode := func(done *checkpoint.Bitmap) ([]byte, error) {
-		total := resumedTotal
-		for i := 0; i < trials; i++ {
-			if done.Get(i) && !resumed.Get(i) {
-				total += sums[i]
-			}
+	r, st, err := checkpoint.Start(cfg, trials, func() (uint64, func(*checkpoint.Bitmap) ([]byte, error)) {
+		return SpreadFingerprint(g, seeds, trials, seed), func(done *checkpoint.Bitmap) ([]byte, error) {
+			return binary.LittleEndian.AppendUint64(nil, uint64(resumedTotal+sumDone(sums, done))), nil
 		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(total))
-		return buf[:], nil
-	}
-
-	fp := SpreadFingerprint(g, seeds, trials, seed)
-	r, st, err := checkpoint.Start(cfg, fp, trials, encode)
+	})
 	if err != nil {
 		return 0, err
 	}
-	if st != nil {
-		if len(st.Payload) != 8 {
-			r.Abort()
-			return 0, fmt.Errorf("%w: spread payload is %d bytes, want 8", checkpoint.ErrCorrupt, len(st.Payload))
-		}
-		resumedTotal = int64(binary.LittleEndian.Uint64(st.Payload))
-		resumed = st.Done
+	resumed, err := decodeSpreadPayload(st, &resumedTotal)
+	if err != nil {
+		r.Abort()
+		return 0, err
 	}
 
+	// Trial i draws from its own split of the master generator, and Split
+	// does not advance the master, so trial i is reproducible whichever
+	// worker runs it.
+	master := rng.New(seed)
 	w := pool.Workers(workers, trials)
 	visiteds := make([][]bool, w)
 	tel := cfg.Telemetry
@@ -83,48 +78,54 @@ func ExpectedSpreadResumable(ctx context.Context, g *graph.Graph, seeds []graph.
 			visited = make([]bool, g.NumNodes())
 			visiteds[worker] = visited
 		}
-		size := int64(simulateSize(g, seeds, gens[i], visited))
-		sums[i] = size
+		size := simulateSize(g, seeds, master.Split(uint64(i)), visited)
+		sums[i] = int32(size)
 		mTrials.Inc()
-		mSize.Observe(size)
+		mSize.Observe(int64(size))
 		sp.AddUnits(1)
 		r.MarkDone(i, nil)
 		return nil
 	})
 	sp.End()
 
-	mean := func(done *checkpoint.Bitmap) float64 {
-		total := resumedTotal
-		for i := 0; i < trials; i++ {
-			if done.Get(i) && !resumed.Get(i) {
-				total += sums[i]
-			}
+	var mean float64
+	err = r.Settle(runErr, func(partial *checkpoint.Bitmap) error {
+		done := trials
+		if partial != nil {
+			done = partial.Count()
 		}
-		return float64(total) / float64(done.Count())
-	}
+		mean = float64(resumedTotal+sumDone(sums, partial)) / float64(done)
+		return nil
+	})
+	return mean, err
+}
 
-	switch {
-	case runErr == nil:
-		if ferr := r.Finish(true); ferr != nil {
-			return 0, ferr
+// sumDone totals the cascade sizes of the trials marked in done, or of
+// every trial when done is nil.
+func sumDone(sums []int32, done *checkpoint.Bitmap) int64 {
+	var total int64
+	for i := range sums {
+		// Only marked trials are read: the flusher calls this while workers
+		// still write the others.
+		if done == nil || done.Get(i) {
+			total += int64(sums[i])
 		}
-		return mean(fullBitmap(trials)), nil
-	case errors.Is(runErr, checkpoint.ErrDeadline):
-		if ferr := r.Finish(false); ferr != nil && fault.IsKilled(ferr) {
-			return 0, ferr
-		}
-		outcome := r.Partial(trials)
-		if !errors.Is(outcome, checkpoint.ErrPartial) {
-			return 0, outcome
-		}
-		return mean(r.Snapshot()), outcome
-	case fault.IsKilled(runErr):
-		r.Abort()
-		return 0, runErr
-	default:
-		r.Finish(false)
-		return 0, runErr
 	}
+	return total
+}
+
+// decodeSpreadPayload restores a checkpoint's trial total into total and
+// returns the bitmap of trials it covers (nil when st is nil: nothing to
+// resume).
+func decodeSpreadPayload(st *checkpoint.State, total *int64) (*checkpoint.Bitmap, error) {
+	if st == nil {
+		return nil, nil
+	}
+	if len(st.Payload) != 8 {
+		return nil, fmt.Errorf("%w: spread payload is %d bytes, want 8", checkpoint.ErrCorrupt, len(st.Payload))
+	}
+	*total = int64(binary.LittleEndian.Uint64(st.Payload))
+	return st.Done, nil
 }
 
 // SpreadFingerprint keys ExpectedSpreadResumable checkpoints.
@@ -136,12 +137,4 @@ func SpreadFingerprint(g *graph.Graph, seeds []graph.NodeID, trials int, seed ui
 		Int(trials).
 		Uint64(seed).
 		Sum()
-}
-
-func fullBitmap(n int) *checkpoint.Bitmap {
-	b := checkpoint.NewBitmap(n)
-	for i := 0; i < n; i++ {
-		b.Set(i)
-	}
-	return b
 }

@@ -79,8 +79,8 @@ func NewBitmap(n int) *Bitmap {
 // Len returns the number of units.
 func (b *Bitmap) Len() int { return b.n }
 
-// Get reports whether unit i is marked.
-func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
+// Get reports whether unit i is marked. A nil Bitmap has no units marked.
+func (b *Bitmap) Get(i int) bool { return b != nil && b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Set marks unit i. Not synchronized; the Runner serializes access.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
@@ -104,6 +104,54 @@ func (b *Bitmap) Clone() *Bitmap {
 type State struct {
 	Done    *Bitmap
 	Payload []byte
+}
+
+// EncodeUnits frames a checkpoint payload as one (uint32 unit id, record)
+// entry per unit marked in done, in ascending id order; record writes unit
+// i's partial accumulators.
+func EncodeUnits(done *Bitmap, record func(w io.Writer, i int) error) ([]byte, error) {
+	var buf bytes.Buffer
+	for i := 0; i < done.Len(); i++ {
+		if !done.Get(i) {
+			continue
+		}
+		if err := binary.Write(&buf, binary.LittleEndian, uint32(i)); err != nil {
+			return nil, err
+		}
+		if err := record(&buf, i); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeUnits reads a payload framed by EncodeUnits, calling record to read
+// each unit's accumulators. The CRC32-C footer already vouches for the
+// bytes, so these checks catch logic-level mismatches: an id outside the
+// done bitmap, a done unit the payload lacks, or a record error is
+// ErrCorrupt. what names the payload in error messages.
+func DecodeUnits(st *State, what string, record func(r io.Reader, id int) error) error {
+	br := bytes.NewReader(st.Payload)
+	seen := 0
+	for {
+		var id uint32
+		if err := binary.Read(br, binary.LittleEndian, &id); err == io.EOF {
+			break
+		} else if err != nil {
+			return fmt.Errorf("%w: %s payload: %v", ErrCorrupt, what, err)
+		}
+		if int(id) >= st.Done.Len() || !st.Done.Get(int(id)) {
+			return fmt.Errorf("%w: %s payload names unit %d outside the done bitmap", ErrCorrupt, what, id)
+		}
+		if err := record(br, int(id)); err != nil {
+			return fmt.Errorf("%w: %s payload unit %d: %v", ErrCorrupt, what, id, err)
+		}
+		seen++
+	}
+	if seen != st.Done.Count() {
+		return fmt.Errorf("%w: %s payload covers %d units, bitmap records %d", ErrCorrupt, what, seen, st.Done.Count())
+	}
+	return nil
 }
 
 // Save writes a checkpoint atomically (temp file + rename + directory sync).

@@ -86,8 +86,8 @@ func ErrorBound(ell int) float64 {
 }
 
 // Config configures a checkpointed, deadline-bounded run. The zero value
-// disables both checkpointing and the deadline, making a …Resumable path
-// behave exactly like its …Ctx counterpart.
+// disables both checkpointing and the deadline: a …Resumable path run with
+// it is the plain computation, and pays nothing for the checkpoint layer.
 type Config struct {
 	// Path is the checkpoint file; "" disables checkpointing (the Budget
 	// still applies).
@@ -162,25 +162,34 @@ type Runner struct {
 }
 
 // Start loads any prior checkpoint and begins the background flusher.
-// encode serializes the partial accumulators of the units marked in the
-// given bitmap; it is called from the flusher goroutine with a private
-// snapshot. The returned State is nil when no checkpoint existed; ErrStale /
-// ErrCorrupt / IO failures abort the run before any compute happens.
-func Start(cfg Config, fingerprint uint64, units int, encode func(done *Bitmap) ([]byte, error)) (*Runner, *State, error) {
+// file describes the checkpoint file: it returns the fingerprint that keys
+// the file and the encoder that serializes the partial accumulators of the
+// units marked in a bitmap (called from the flusher goroutine with a private
+// snapshot). Start calls file only when cfg.Path is set, so a run without a
+// file never hashes its inputs or builds an encoder. The returned State is
+// nil when no checkpoint existed; ErrStale / ErrCorrupt / IO failures abort
+// the run before any compute happens.
+//
+// A Config with neither a Path nor a deadline has nothing to track: Start
+// then returns a nil *Runner, on which every method is a no-op, and the
+// compute loop runs exactly as it would without the checkpoint layer.
+func Start(cfg Config, units int, file func() (fingerprint uint64, encode func(done *Bitmap) ([]byte, error))) (*Runner, *State, error) {
+	if cfg.Path == "" && !cfg.Budget.bounded() {
+		return nil, nil, nil
+	}
 	r := &Runner{
-		cfg:    cfg,
-		fp:     fingerprint,
-		units:  units,
-		encode: encode,
-		done:   NewBitmap(units),
-		start:  time.Now(),
-		kick:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
+		cfg:   cfg,
+		units: units,
+		done:  NewBitmap(units),
+		start: time.Now(),
+		kick:  make(chan struct{}, 1),
+		quit:  make(chan struct{}),
 	}
 	var st *State
 	if cfg.Path != "" {
+		r.fp, r.encode = file()
 		var err error
-		st, err = Load(cfg.Path, fingerprint, units)
+		st, err = Load(cfg.Path, r.fp, units)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -208,6 +217,12 @@ func (r *Runner) Snapshot() *Bitmap {
 // runner lock — use it for accumulator updates that must be atomic with the
 // bitmap for flush consistency. MarkDone never blocks on IO.
 func (r *Runner) MarkDone(i int, update func()) {
+	if r == nil {
+		if update != nil {
+			update()
+		}
+		return
+	}
 	r.mu.Lock()
 	if update != nil {
 		update()
@@ -239,6 +254,9 @@ func (r *Runner) DoneCount() int {
 // fatal flush error (a simulated kill) so an injected crash stops the run
 // the way a real one would.
 func (r *Runner) Gate() error {
+	if r == nil {
+		return nil
+	}
 	r.errMu.Lock()
 	ferr := r.flushErr
 	r.errMu.Unlock()
@@ -356,7 +374,7 @@ func (r *Runner) flushOnce() {
 //     process would not have flushed either, and the crash-consistency tests
 //     rely on the disk state being exactly what a kill leaves.
 func (r *Runner) Finish(complete bool) error {
-	if r.cfg.Path == "" {
+	if r == nil || r.cfg.Path == "" {
 		return nil
 	}
 	r.stop()
@@ -387,11 +405,57 @@ func (r *Runner) Finish(complete bool) error {
 // process would not have written anything more) or when resume decoding
 // failed before compute started.
 func (r *Runner) Abort() {
-	if r.cfg.Path == "" {
+	if r == nil || r.cfg.Path == "" {
 		return
 	}
 	r.stop()
 	r.flusher.Wait()
+}
+
+// Settle ends a run whose worker loop returned runErr: it settles the
+// checkpoint file and turns runErr into the run's outcome. result builds
+// the caller's value from the completed units — partial is nil after a
+// complete run, and the bitmap of completed units after a deadline stopped
+// the run early.
+//
+//   - complete: the checkpoint is deleted, result(nil) runs, and Settle
+//     returns its error.
+//   - deadline (ErrDeadline): the checkpoint is kept for a later resume. Past
+//     the budget minimum, result(partial) runs and Settle returns the
+//     *PartialError that annotates the value; below it, a hard error.
+//   - simulated kill: nothing more is written, as a killed process would
+//     write nothing; runErr is returned.
+//   - cancellation or a worker failure: a final flush keeps the work done so
+//     far for a later resume; runErr is returned.
+//
+// result runs only for a complete or a deadline-partial run; otherwise the
+// caller's value stays zero.
+func (r *Runner) Settle(runErr error, result func(partial *Bitmap) error) error {
+	switch {
+	case runErr == nil:
+		if err := r.Finish(true); err != nil {
+			return err
+		}
+		return result(nil)
+	case errors.Is(runErr, ErrDeadline):
+		if err := r.Finish(false); err != nil && fault.IsKilled(err) {
+			return err
+		}
+		outcome := r.Partial(r.units)
+		if !errors.Is(outcome, ErrPartial) {
+			return outcome
+		}
+		if err := result(r.Snapshot()); err != nil {
+			return err
+		}
+		return outcome
+	case fault.IsKilled(runErr):
+		r.Abort()
+		return runErr
+	default:
+		r.Finish(false)
+		return runErr
+	}
 }
 
 func (r *Runner) stop() {

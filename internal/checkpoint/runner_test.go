@@ -20,10 +20,15 @@ func encodeDone(done *Bitmap) ([]byte, error) {
 	return out, nil
 }
 
+// file describes a checkpoint file keyed by the fixed fingerprint fp.
+func file(fp uint64, encode func(*Bitmap) ([]byte, error)) func() (uint64, func(*Bitmap) ([]byte, error)) {
+	return func() (uint64, func(*Bitmap) ([]byte, error)) { return fp, encode }
+}
+
 func TestRunnerFlushOnCountTrigger(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := Config{Path: path, FlushEvery: 2, FlushInterval: time.Hour}
-	r, st, err := Start(cfg, 1, 10, encodeDone)
+	r, st, err := Start(cfg, 10, file(1, encodeDone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func TestRunnerFlushOnCountTrigger(t *testing.T) {
 
 func TestRunnerFinishCompleteDeletes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	r, _, err := Start(Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}, 1, 2, encodeDone)
+	r, _, err := Start(Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}, 2, file(1, encodeDone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func TestRunnerFinishCompleteDeletes(t *testing.T) {
 func TestRunnerResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}
-	r, _, err := Start(cfg, 1, 5, encodeDone)
+	r, _, err := Start(cfg, 5, file(1, encodeDone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +95,7 @@ func TestRunnerResume(t *testing.T) {
 
 	var resumedDone, resumedTotal int
 	cfg.OnResume = func(done, total int) { resumedDone, resumedTotal = done, total }
-	r2, st, err := Start(cfg, 1, 5, encodeDone)
+	r2, st, err := Start(cfg, 5, file(1, encodeDone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +109,14 @@ func TestRunnerResume(t *testing.T) {
 		t.Fatalf("Snapshot count = %d, want 2 (preloaded)", snap.Count())
 	}
 	// A stale checkpoint (different fingerprint) aborts before compute.
-	if _, _, err := Start(Config{Path: path}, 99, 5, encodeDone); !errors.Is(err, ErrStale) {
+	if _, _, err := Start(Config{Path: path}, 5, file(99, encodeDone)); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale resume: %v, want ErrStale", err)
 	}
 	r2.Abort()
 }
 
 func TestGateDeadline(t *testing.T) {
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second)}}, 1, 10, nil)
+	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second)}}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +131,7 @@ func TestGateDeadline(t *testing.T) {
 		t.Fatalf("Gate past deadline = %v, want ErrDeadline", err)
 	}
 	// Unbounded budget never gates.
-	r2, _, err := Start(Config{}, 1, 10, nil)
+	r2, _, err := Start(Config{}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +143,7 @@ func TestGateDeadline(t *testing.T) {
 func TestGateThroughputMargin(t *testing.T) {
 	// With one unit done and almost no time left, the throughput check must
 	// stop the run even though the deadline has not strictly passed.
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(2 * time.Millisecond)}}, 1, 10, nil)
+	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(2 * time.Millisecond)}}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func TestGateThroughputMargin(t *testing.T) {
 }
 
 func TestPartialOutcome(t *testing.T) {
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second), MinWorlds: 3}}, 1, 10, nil)
+	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second), MinWorlds: 3}}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +194,96 @@ func TestErrorBound(t *testing.T) {
 	// ln(2/0.05)/(2*1000) ≈ 0.0430 at ℓ=1000.
 	if b := ErrorBound(1000); b < 0.042 || b > 0.044 {
 		t.Fatalf("ErrorBound(1000) = %v", b)
+	}
+}
+
+func TestZeroConfigRunnerIsFree(t *testing.T) {
+	described := false
+	r, st, err := Start(Config{}, 10, func() (uint64, func(*Bitmap) ([]byte, error)) {
+		described = true
+		return 1, encodeDone
+	})
+	if r != nil || st != nil || err != nil {
+		t.Fatalf("Start(Config{}) = %v, %v, %v; want a nil Runner", r, st, err)
+	}
+	if described {
+		t.Fatal("Start described a checkpoint file for a run without one")
+	}
+	// Every method a compute loop calls is a no-op on the nil Runner.
+	if err := r.Gate(); err != nil {
+		t.Fatalf("nil Gate = %v", err)
+	}
+	ran := false
+	r.MarkDone(0, func() { ran = true })
+	if !ran {
+		t.Fatal("nil MarkDone skipped its update")
+	}
+	var partial *Bitmap
+	called := false
+	if err := r.Settle(nil, func(p *Bitmap) error { called, partial = true, p; return nil }); err != nil || !called || partial != nil {
+		t.Fatalf("nil Settle(complete) = %v, called %v, partial %v", err, called, partial)
+	}
+	boom := errors.New("boom")
+	if err := r.Settle(boom, func(*Bitmap) error { t.Fatal("result built for a failed run"); return nil }); err != boom {
+		t.Fatalf("nil Settle(failure) = %v, want %v", err, boom)
+	}
+	r.Abort()
+}
+
+func TestSettleOutcomes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cfg := Config{Path: path, FlushEvery: -1, FlushInterval: time.Hour,
+		Budget: Budget{Deadline: time.Now().Add(-time.Second)}}
+
+	// Deadline past the budget minimum: the value is built from the
+	// completed units, annotated with a *PartialError, and the checkpoint is
+	// kept for a resume.
+	r, _, err := Start(cfg, 4, file(1, encodeDone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MarkDone(1, nil)
+	var got *Bitmap
+	err = r.Settle(ErrDeadline, func(p *Bitmap) error { got = p; return nil })
+	var pe *PartialError
+	if !errors.As(err, &pe) || pe.Achieved != 1 || pe.Requested != 4 {
+		t.Fatalf("Settle(deadline) = %v, want a 1/4 *PartialError", err)
+	}
+	if got == nil || got.Count() != 1 || !got.Get(1) {
+		t.Fatalf("partial bitmap = %+v, want unit 1 only", got)
+	}
+	if st, err := Load(path, 1, 4); err != nil || st == nil || st.Done.Count() != 1 {
+		t.Fatalf("checkpoint after a deadline: st=%v err=%v", st, err)
+	}
+
+	// A complete run deletes the checkpoint and builds from nil.
+	cfg.Budget = Budget{}
+	r, st, err := Start(cfg, 4, file(1, encodeDone))
+	if err != nil || st == nil {
+		t.Fatalf("resume: st=%v err=%v", st, err)
+	}
+	for i := 0; i < 4; i++ {
+		r.MarkDone(i, nil)
+	}
+	got = st.Done
+	if err := r.Settle(nil, func(p *Bitmap) error { got = p; return nil }); err != nil || got != nil {
+		t.Fatalf("Settle(complete) = %v with partial %v, want nil, nil", err, got)
+	}
+	if st, err := Load(path, 1, 4); err != nil || st != nil {
+		t.Fatalf("checkpoint survived a complete run: st=%v err=%v", st, err)
+	}
+
+	// A failure flushes what completed and returns the failure unchanged.
+	r, _, err = Start(cfg, 4, file(1, encodeDone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MarkDone(2, nil)
+	boom := errors.New("boom")
+	if err := r.Settle(boom, func(*Bitmap) error { t.Fatal("result built for a failed run"); return nil }); err != boom {
+		t.Fatalf("Settle(failure) = %v, want %v", err, boom)
+	}
+	if st, err := Load(path, 1, 4); err != nil || st == nil || !st.Done.Get(2) {
+		t.Fatalf("checkpoint after a failure: st=%v err=%v", st, err)
 	}
 }

@@ -28,13 +28,19 @@ func ComputeWithScratch(x *index.Index, v graph.NodeID, opts Options, s *index.S
 // minimum the error is hard. A zero Budget makes this EstimateCostModel with
 // ctx checks.
 func EstimateCostBudget(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64, model index.Model, budget checkpoint.Budget) (float64, int, error) {
+	return estimateCost(ctx, g, seeds, set, samples, seed, model, budget, nil)
+}
+
+// estimateCost is the one cost-estimation loop behind EstimateCostBudget
+// and EstimateCostModel; wm (nil disables) meters the sampled cascades.
+func estimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64, model index.Model, budget checkpoint.Budget, wm *worlds.Metrics) (float64, int, error) {
 	if samples <= 0 {
 		return -1, 0, nil
 	}
-	// A Runner with no checkpoint path is just the budget gate: no flusher
-	// starts and Finish is a no-op, but Gate/Partial give the same
-	// deadline-degradation semantics as the …Resumable paths.
-	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, 0, samples, nil)
+	// A Runner with no checkpoint path is just the budget gate (nil, and
+	// free, when the budget is zero): no flusher starts, but Gate/Partial give
+	// the same deadline-degradation semantics as the …Resumable paths.
+	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, samples, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -43,9 +49,11 @@ func EstimateCostBudget(ctx context.Context, g *graph.Graph, seeds, set []graph.
 	var buf []graph.NodeID
 	total := 0.0
 	truncated := false
-	for i := 0; i < samples; i++ {
+	// Samples complete in order, so i counts the completed ones.
+	i := 0
+	for ; i < samples; i++ {
 		if err := ctx.Err(); err != nil {
-			return 0, r.DoneCount(), err
+			return 0, i, err
 		}
 		if err := r.Gate(); err != nil {
 			truncated = true
@@ -53,15 +61,15 @@ func EstimateCostBudget(ctx context.Context, g *graph.Graph, seeds, set []graph.
 		}
 		rs := master.Split(uint64(i))
 		if model == index.LT {
-			w := worlds.SampleLT(g, rs)
+			w := worlds.SampleLTMetered(g, rs, wm)
 			buf = w.ReachableFromSet(seeds, visited, buf[:0])
 		} else {
-			buf = worlds.SampleCascadeFromSet(g, seeds, rs, visited, buf[:0])
+			buf = worlds.SampleCascadeFromSetMetered(g, seeds, rs, visited, buf[:0], wm)
 		}
 		total += jaccard.Distance(set, buf)
 		r.MarkDone(i, nil)
 	}
-	achieved := r.DoneCount()
+	achieved := i
 	if !truncated {
 		return total / float64(samples), achieved, nil
 	}

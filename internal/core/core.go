@@ -25,11 +25,10 @@ import (
 	"fmt"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/jaccard"
-	"soi/internal/pool"
-	"soi/internal/rng"
 	"soi/internal/telemetry"
 	"soi/internal/worlds"
 )
@@ -262,71 +261,22 @@ func EstimateCostModel(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID,
 	return estimateCostMetered(g, seeds, set, samples, seed, model, nil)
 }
 
+// estimateCostMetered is the unbudgeted estimate, sampling under wm: with
+// context.Background() and a zero Budget, estimateCost cannot fail.
 func estimateCostMetered(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID, samples int, seed uint64, model index.Model, wm *worlds.Metrics) float64 {
-	if samples <= 0 {
-		return -1
-	}
-	master := rng.New(seed)
-	visited := make([]bool, g.NumNodes())
-	var buf []graph.NodeID
-	total := 0.0
-	for i := 0; i < samples; i++ {
-		r := master.Split(uint64(i))
-		if model == index.LT {
-			w := worlds.SampleLTMetered(g, r, wm)
-			buf = w.ReachableFromSet(seeds, visited, buf[:0])
-		} else {
-			buf = worlds.SampleCascadeFromSetMetered(g, seeds, r, visited, buf[:0], wm)
-		}
-		total += jaccard.Distance(set, buf)
-	}
-	return total / float64(samples)
+	cost, _, _ := estimateCost(context.Background(), g, seeds, set, samples, seed, model, checkpoint.Budget{}, wm)
+	return cost
 }
 
 // ComputeAll computes the typical cascade of every node (Algorithm 2),
 // parallelized across Options.Workers. Results are indexed by node id.
-// It is ComputeAllCtx under context.Background(); a worker panic (the only
-// possible error there) is re-raised.
+// It is ComputeAllResumable under context.Background() with a zero
+// checkpoint.Config; a worker panic (the only possible error there) is
+// re-raised.
 func ComputeAll(x *index.Index, opts Options) []Result {
-	out, err := ComputeAllCtx(context.Background(), x, opts)
+	out, err := ComputeAllResumable(context.Background(), x, opts, checkpoint.Config{})
 	if err != nil {
 		panic(err)
 	}
 	return out
-}
-
-// ComputeAllCtx is ComputeAll with cooperative cancellation: workers check
-// ctx between nodes and a canceled context returns ctx.Err() promptly with
-// a nil result. Worker panics are recovered into a *pool.PanicError.
-func ComputeAllCtx(ctx context.Context, x *index.Index, opts Options) ([]Result, error) {
-	n := x.Graph().NumNodes()
-	out := make([]Result, n)
-	workers := pool.Workers(opts.Workers, n)
-	scratches := make([]*index.Scratch, workers)
-	tel := telemetryFor(x, opts)
-	m := newMetricsSet(tel)
-	sp := tel.StartSpan("core.compute_all")
-	defer sp.End()
-	err := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
-		func(worker, task int) error {
-			s := scratches[worker]
-			if s == nil {
-				s = x.NewScratch()
-				scratches[worker] = s
-			}
-			v := graph.NodeID(task)
-			o := opts
-			if o.CostSamples > 0 {
-				// Derive a distinct, stable cost seed per node so the
-				// held-out estimates are independent across nodes.
-				o.CostSeed = rng.Mix64(opts.CostSeed ^ uint64(v))
-			}
-			out[v] = computeWithScratch(x, []graph.NodeID{v}, o, s, m)
-			sp.AddUnits(1)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,30 +1,34 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"soi/internal/checkpoint"
-	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/pool"
 	"soi/internal/rng"
 )
 
-// ComputeAllResumable is ComputeAllCtx under the crash-safe execution layer:
-// each node's computed sphere is periodically checkpointed, so a crash,
-// OOM-kill, cancellation, or deadline loses at most one flush interval of
-// the sweep. The checkpoint is keyed on the index *contents* (plus the
-// options), so resuming against a different index is rejected as stale. A
-// rerun with the same index and options produces spheres bit-identical to an
-// uninterrupted sweep — each node's computation depends only on the index
-// and its own derived cost seed.
+// ComputeAllResumable computes the typical cascade of every node (Algorithm
+// 2), parallelized across opts.Workers, with results indexed by node id —
+// the one implementation behind ComputeAll. Workers check ctx between nodes
+// and a canceled context returns ctx.Err() promptly with a nil result;
+// worker panics are recovered into a *pool.PanicError. A zero cfg is the
+// plain sweep.
+//
+// With cfg.Path set, each node's computed sphere is periodically
+// checkpointed, so a crash, OOM-kill, cancellation, or deadline loses at
+// most one flush interval of the sweep. The checkpoint is keyed on the index
+// *contents* (plus the options), so resuming against a different index is
+// rejected as stale. A rerun with the same index and options produces
+// spheres bit-identical to an uninterrupted sweep — each node's computation
+// depends only on the index and its own derived cost seed.
 //
 // With cfg.Budget.Deadline set, the sweep stops when the deadline nears and
 // returns the partial result with a *checkpoint.PartialError: results are
@@ -35,41 +39,25 @@ func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg 
 	n := x.Graph().NumNodes()
 	out := make([]Result, n)
 
-	encode := func(done *checkpoint.Bitmap) ([]byte, error) {
-		var buf bytes.Buffer
-		for v := 0; v < n; v++ {
-			if !done.Get(v) {
-				continue
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(v)); err != nil {
-				return nil, err
-			}
-			if err := writeResult(&buf, &out[v]); err != nil {
-				return nil, err
-			}
+	r, st, err := checkpoint.Start(cfg, n, func() (uint64, func(*checkpoint.Bitmap) ([]byte, error)) {
+		return sweepFingerprint(x, opts), func(done *checkpoint.Bitmap) ([]byte, error) {
+			return checkpoint.EncodeUnits(done, func(w io.Writer, v int) error { return writeResult(w, &out[v]) })
 		}
-		return buf.Bytes(), nil
-	}
-
-	r, st, err := checkpoint.Start(cfg, sweepFingerprint(x, opts), n, encode)
+	})
 	if err != nil {
 		return nil, err
 	}
-	resumed := checkpoint.NewBitmap(n)
-	if st != nil {
-		if err := decodeSweepPayload(st, n, out); err != nil {
-			r.Abort()
-			return nil, err
-		}
-		resumed = st.Done
+	resumed, err := decodeSweepPayload(st, n, out)
+	if err != nil {
+		r.Abort()
+		return nil, err
 	}
 
 	workers := pool.Workers(opts.Workers, n)
 	scratches := make([]*index.Scratch, workers)
-	if opts.Telemetry == nil {
-		opts.Telemetry = cfg.Telemetry
-	}
-	tel := telemetryFor(x, opts)
+	// The registry can arrive on the options, on the Config (how cliutil
+	// threads it into resumable paths) or on the index.
+	tel := cmp.Or(opts.Telemetry, cfg.Telemetry, x.Telemetry())
 	m := newMetricsSet(tel)
 	sp := tel.StartSpan("core.compute_all")
 	runErr := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
@@ -88,6 +76,8 @@ func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg 
 			v := graph.NodeID(task)
 			o := opts
 			if o.CostSamples > 0 {
+				// Derive a distinct, stable cost seed per node so the
+				// held-out estimates are independent across nodes.
 				o.CostSeed = rng.Mix64(opts.CostSeed ^ uint64(v))
 			}
 			out[v] = computeWithScratch(x, []graph.NodeID{v}, o, s, m)
@@ -97,28 +87,13 @@ func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg 
 		})
 	sp.End()
 
-	switch {
-	case runErr == nil:
-		if ferr := r.Finish(true); ferr != nil {
-			return nil, ferr
-		}
-		return out, nil
-	case errors.Is(runErr, checkpoint.ErrDeadline):
-		if ferr := r.Finish(false); ferr != nil && fault.IsKilled(ferr) {
-			return nil, ferr
-		}
-		outcome := r.Partial(n)
-		if !errors.Is(outcome, checkpoint.ErrPartial) {
-			return nil, outcome
-		}
-		return out, outcome
-	case fault.IsKilled(runErr):
-		r.Abort()
-		return nil, runErr
-	default:
-		r.Finish(false)
-		return nil, runErr
-	}
+	// Results stay indexed by node id whether or not every node completed.
+	var res []Result
+	err = r.Settle(runErr, func(*checkpoint.Bitmap) error {
+		res = out
+		return nil
+	})
+	return res, err
 }
 
 // sweepFingerprint keys ComputeAllResumable checkpoints on the index
@@ -154,38 +129,32 @@ func writeResult(w io.Writer, res *Result) error {
 	return nil
 }
 
-// decodeSweepPayload restores completed spheres from a checkpoint payload.
-func decodeSweepPayload(st *checkpoint.State, n int, out []Result) error {
-	br := bytes.NewReader(st.Payload)
-	seen := 0
-	for {
-		var id uint32
-		if err := binary.Read(br, binary.LittleEndian, &id); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("%w: sweep payload: %v", checkpoint.ErrCorrupt, err)
-		}
-		if int(id) >= n || !st.Done.Get(int(id)) {
-			return fmt.Errorf("%w: sweep payload names node %d outside the done bitmap", checkpoint.ErrCorrupt, id)
-		}
+// decodeSweepPayload restores completed spheres from a checkpoint payload
+// and returns the bitmap of nodes it restored (nil when st is nil: nothing
+// to resume).
+func decodeSweepPayload(st *checkpoint.State, n int, out []Result) (*checkpoint.Bitmap, error) {
+	if st == nil {
+		return nil, nil
+	}
+	err := checkpoint.DecodeUnits(st, "sweep", func(r io.Reader, id int) error {
 		var setLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &setLen); err != nil {
-			return fmt.Errorf("%w: sweep payload node %d: %v", checkpoint.ErrCorrupt, id, err)
+		if err := binary.Read(r, binary.LittleEndian, &setLen); err != nil {
+			return err
 		}
 		if int(setLen) > n {
-			return fmt.Errorf("%w: sweep payload node %d sphere size %d exceeds node count", checkpoint.ErrCorrupt, id, setLen)
+			return fmt.Errorf("sphere size %d exceeds node count", setLen)
 		}
 		set := make([]graph.NodeID, setLen)
 		if setLen > 0 {
-			if err := binary.Read(br, binary.LittleEndian, set); err != nil {
-				return fmt.Errorf("%w: sweep payload node %d set: %v", checkpoint.ErrCorrupt, id, err)
+			if err := binary.Read(r, binary.LittleEndian, set); err != nil {
+				return fmt.Errorf("set: %v", err)
 			}
 		}
 		var sampleCost, expectedCost float64
 		var medianNS, costNS int64
 		for _, p := range []any{&sampleCost, &expectedCost, &medianNS, &costNS} {
-			if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-				return fmt.Errorf("%w: sweep payload node %d costs: %v", checkpoint.ErrCorrupt, id, err)
+			if err := binary.Read(r, binary.LittleEndian, p); err != nil {
+				return fmt.Errorf("costs: %v", err)
 			}
 		}
 		out[id] = Result{
@@ -196,10 +165,10 @@ func decodeSweepPayload(st *checkpoint.State, n int, out []Result) error {
 			MedianTime:   time.Duration(medianNS),
 			CostTime:     time.Duration(costNS),
 		}
-		seen++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if seen != st.Done.Count() {
-		return fmt.Errorf("%w: sweep payload covers %d nodes, bitmap records %d", checkpoint.ErrCorrupt, seen, st.Done.Count())
-	}
-	return nil
+	return st.Done, nil
 }

@@ -145,7 +145,7 @@ func (c *Config) errw() io.Writer {
 }
 
 // buildResumable is the checkpoint/budget-aware index build behind every
-// experiment. With no CheckpointDir and a zero Budget it is exactly BuildCtx.
+// experiment. With no CheckpointDir and a zero Budget it is the plain build.
 // Checkpoint files are keyed by the build fingerprint, so the many distinct
 // (dataset, world-tag, ℓ) builds of one experiment run never collide and a
 // changed configuration starts fresh instead of resuming stale state.

@@ -14,14 +14,13 @@ package index
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"soi/internal/blockfile"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
-	"soi/internal/pool"
 	"soi/internal/rng"
 	"soi/internal/scc"
 	"soi/internal/telemetry"
@@ -119,52 +118,9 @@ func (x *Index) SetTelemetry(reg *telemetry.Registry) { x.tel = reg }
 func (x *Index) Telemetry() *telemetry.Registry { return x.tel }
 
 // Build samples opts.Samples possible worlds of g and indexes them. It is
-// BuildCtx under context.Background().
+// BuildResumable under context.Background() with a zero checkpoint.Config.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
-	return BuildCtx(context.Background(), g, opts)
-}
-
-// BuildCtx is Build with cooperative cancellation: worker goroutines check
-// ctx between worlds, so a canceled or expired context makes BuildCtx return
-// ctx.Err() promptly instead of finishing all ℓ worlds. A panic in a worker
-// is recovered and returned as a *pool.PanicError rather than crashing the
-// process.
-func BuildCtx(ctx context.Context, g *graph.Graph, opts Options) (*Index, error) {
-	if opts.Samples < 1 {
-		return nil, fmt.Errorf("index: Samples must be >= 1, got %d", opts.Samples)
-	}
-	if opts.Model == LT {
-		if err := worlds.ValidateLTWeights(g); err != nil {
-			return nil, err
-		}
-		// Warm the transpose once; SampleLT uses it and Reverse memoizes
-		// without synchronization.
-		g.Reverse()
-	}
-
-	idx := &Index{g: g, entries: make([]worldEntry, opts.Samples), tel: opts.Telemetry}
-	master := rng.New(opts.Seed)
-	// Pre-split generators so world i is reproducible regardless of the
-	// worker that processes it.
-	gens := make([]*rng.PCG32, opts.Samples)
-	for i := range gens {
-		gens[i] = master.Split(uint64(i))
-	}
-
-	bm := newBuildMetrics(opts.Telemetry)
-	sp := opts.Telemetry.StartSpan("index.build")
-	defer sp.End()
-	err := pool.Run(ctx, opts.Samples,
-		pool.Options{Workers: opts.Workers, Progress: opts.Progress, Telemetry: opts.Telemetry},
-		func(_, i int) error {
-			idx.entries[i] = buildEntry(g, gens[i], opts, bm)
-			sp.AddUnits(1)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return idx, nil
+	return BuildResumable(context.Background(), g, opts, checkpoint.Config{})
 }
 
 // buildMetrics carries per-world build instrumentation. The zero value

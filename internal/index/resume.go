@@ -1,28 +1,30 @@
 package index
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"soi/internal/checkpoint"
-	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/pool"
 	"soi/internal/rng"
 	"soi/internal/worlds"
 )
 
-// BuildResumable is BuildCtx under the crash-safe execution layer: completed
-// worlds are periodically checkpointed (atomically, off the worker hot path)
-// so a crash, OOM-kill, cancellation, or deadline loses at most one flush
-// interval of work instead of the whole build. A rerun with the same graph,
-// options, and checkpoint path resumes from the bitmap of completed worlds
-// and — because world i depends only on its own split generator — produces
-// an index bit-identical to an uninterrupted build.
+// BuildResumable samples opts.Samples possible worlds of g and indexes them
+// — the one implementation behind Build. Worker goroutines check ctx
+// between worlds, so a canceled or expired context returns ctx.Err()
+// promptly; a worker panic is recovered and returned as a *pool.PanicError.
+// A zero cfg is the plain build.
+//
+// With cfg.Path set, completed worlds are periodically checkpointed
+// (atomically, off the worker hot path) so a crash, OOM-kill, cancellation,
+// or deadline loses at most one flush interval of work instead of the whole
+// build. A rerun with the same graph, options, and checkpoint path resumes
+// from the bitmap of completed worlds and — because world i depends only on
+// its own split generator — produces an index bit-identical to an
+// uninterrupted build.
 //
 // With cfg.Budget.Deadline set, the build stops sampling when the deadline
 // nears and returns a partial index over the completed worlds together with
@@ -37,6 +39,8 @@ func BuildResumable(ctx context.Context, g *graph.Graph, opts Options, cfg check
 		if err := worlds.ValidateLTWeights(g); err != nil {
 			return nil, err
 		}
+		// Warm the transpose once; SampleLT uses it and Reverse memoizes
+		// without synchronization.
 		g.Reverse()
 	}
 
@@ -46,42 +50,22 @@ func BuildResumable(ctx context.Context, g *graph.Graph, opts Options, cfg check
 		opts.Telemetry = cfg.Telemetry
 	}
 	idx := &Index{g: g, entries: make([]worldEntry, opts.Samples), tel: opts.Telemetry}
-	master := rng.New(opts.Seed)
-	gens := make([]*rng.PCG32, opts.Samples)
-	for i := range gens {
-		gens[i] = master.Split(uint64(i))
-	}
-
-	nodes := uint32(g.NumNodes())
-	encode := func(done *checkpoint.Bitmap) ([]byte, error) {
-		var buf bytes.Buffer
-		for i := 0; i < opts.Samples; i++ {
-			if !done.Get(i) {
-				continue
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(i)); err != nil {
-				return nil, err
-			}
-			if err := writeEntry(&buf, &idx.entries[i]); err != nil {
-				return nil, err
-			}
-		}
-		return buf.Bytes(), nil
-	}
-
-	r, st, err := checkpoint.Start(cfg, BuildFingerprint(g, opts), opts.Samples, encode)
+	r, st, err := checkpoint.Start(cfg, opts.Samples, func() (uint64, func(*checkpoint.Bitmap) ([]byte, error)) {
+		return BuildFingerprint(g, opts), idx.encodeWorlds
+	})
 	if err != nil {
 		return nil, err
 	}
-	resumed := checkpoint.NewBitmap(opts.Samples)
-	if st != nil {
-		if err := decodeBuildPayload(st, nodes, idx.entries); err != nil {
-			r.Abort()
-			return nil, err
-		}
-		resumed = st.Done
+	resumed, err := decodeBuildPayload(st, uint32(g.NumNodes()), idx.entries)
+	if err != nil {
+		r.Abort()
+		return nil, err
 	}
 
+	// World i draws from its own split of the master generator, and Split
+	// does not advance the master, so world i is reproducible whichever
+	// worker — in whichever run — samples it.
+	master := rng.New(opts.Seed)
 	bm := newBuildMetrics(opts.Telemetry)
 	sp := opts.Telemetry.StartSpan("index.build")
 	runErr := pool.Run(ctx, opts.Samples,
@@ -93,42 +77,34 @@ func BuildResumable(ctx context.Context, g *graph.Graph, opts Options, cfg check
 			if err := r.Gate(); err != nil {
 				return err
 			}
-			idx.entries[i] = buildEntry(g, gens[i], opts, bm)
+			idx.entries[i] = buildEntry(g, master.Split(uint64(i)), opts, bm)
 			sp.AddUnits(1)
 			r.MarkDone(i, nil)
 			return nil
 		})
 	sp.End()
 
-	switch {
-	case runErr == nil:
-		if ferr := r.Finish(true); ferr != nil {
-			return nil, ferr
-		}
-		return idx, nil
-	case errors.Is(runErr, checkpoint.ErrDeadline):
-		if ferr := r.Finish(false); ferr != nil && fault.IsKilled(ferr) {
-			return nil, ferr
-		}
-		outcome := r.Partial(opts.Samples)
-		if !errors.Is(outcome, checkpoint.ErrPartial) {
-			return nil, outcome
-		}
-		return idx.compact(r.Snapshot()), outcome
-	case fault.IsKilled(runErr):
-		// A really killed process writes nothing more: no final flush.
-		r.Abort()
-		return nil, runErr
-	default:
-		// Cancellation or a worker failure: flush so a later run resumes.
-		r.Finish(false)
-		return nil, runErr
-	}
+	var out *Index
+	err = r.Settle(runErr, func(partial *checkpoint.Bitmap) error {
+		out = idx.compact(partial)
+		return nil
+	})
+	return out, err
+}
+
+// encodeWorlds is the build checkpoint payload: the entry of every world
+// marked in done.
+func (x *Index) encodeWorlds(done *checkpoint.Bitmap) ([]byte, error) {
+	return checkpoint.EncodeUnits(done, func(w io.Writer, i int) error { return writeEntry(w, &x.entries[i]) })
 }
 
 // compact returns an index over only the worlds marked done, in ascending
-// world order — the partial result of a deadline-bounded build.
+// world order — the partial result of a deadline-bounded build. A nil done
+// means every world completed, and x itself is returned.
 func (x *Index) compact(done *checkpoint.Bitmap) *Index {
+	if done == nil {
+		return x
+	}
 	out := &Index{g: x.g, entries: make([]worldEntry, 0, done.Count()), tel: x.tel}
 	for i := 0; i < done.Len(); i++ {
 		if done.Get(i) {
@@ -174,31 +150,20 @@ func (x *Index) Fingerprint() uint64 {
 	return x.fp
 }
 
-// decodeBuildPayload restores completed worlds from a checkpoint payload.
-// The CRC32-C footer already vouches for the bytes; these checks catch
-// logic-level mismatches and report them as corruption.
-func decodeBuildPayload(st *checkpoint.State, nodes uint32, entries []worldEntry) error {
-	br := bytes.NewReader(st.Payload)
-	seen := 0
-	for {
-		var id uint32
-		if err := binary.Read(br, binary.LittleEndian, &id); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("%w: index payload: %v", checkpoint.ErrCorrupt, err)
-		}
-		if int(id) >= len(entries) || !st.Done.Get(int(id)) {
-			return fmt.Errorf("%w: index payload names world %d outside the done bitmap", checkpoint.ErrCorrupt, id)
-		}
-		e, err := readEntry(br, nodes, int(id))
-		if err != nil {
-			return fmt.Errorf("%w: index payload world %d: %v", checkpoint.ErrCorrupt, id, err)
-		}
+// decodeBuildPayload restores completed worlds from a checkpoint payload
+// and returns the bitmap of worlds it restored (nil when st is nil: nothing
+// to resume).
+func decodeBuildPayload(st *checkpoint.State, nodes uint32, entries []worldEntry) (*checkpoint.Bitmap, error) {
+	if st == nil {
+		return nil, nil
+	}
+	err := checkpoint.DecodeUnits(st, "index", func(r io.Reader, id int) error {
+		e, err := readEntry(r, nodes, id)
 		entries[id] = e
-		seen++
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if seen != st.Done.Count() {
-		return fmt.Errorf("%w: index payload covers %d worlds, bitmap records %d", checkpoint.ErrCorrupt, seen, st.Done.Count())
-	}
-	return nil
+	return st.Done, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
@@ -25,7 +26,7 @@ func TestStdMCCtxPreCanceled(t *testing.T) {
 
 func TestRRCtxPreCanceled(t *testing.T) {
 	g := starChain(t)
-	if _, err := RRCtx(preCanceled(), g, 2, RROptions{Sets: 500, Seed: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := RRResumable(preCanceled(), g, 2, RROptions{Sets: 500, Seed: 2}, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -77,30 +77,11 @@ func (q *celfQueue) Pop() interface{} {
 // celfGreedy runs lazy greedy for k rounds over candidate nodes 0..n-1.
 // gain must return the current marginal gain of a node; commit must apply
 // the selection. For a submodular objective the result equals naive greedy.
-func celfGreedy(n, k int, gain func(graph.NodeID) float64, commit func(graph.NodeID) float64) Selection {
-	return celfGreedyMetered(n, k, gain, commit, greedyMetrics{})
-}
-
-// celfGreedyMetered is celfGreedy with greedy telemetry; the zero
-// greedyMetrics disables it.
-func celfGreedyMetered(n, k int, gain func(graph.NodeID) float64, commit func(graph.NodeID) float64, gm greedyMetrics) Selection {
-	sel, _ := celfGreedyTel(context.Background(), n, k,
-		func(v graph.NodeID) (float64, error) { return gain(v), nil },
-		func(v graph.NodeID) (float64, error) { return commit(v), nil }, gm)
-	return sel
-}
-
-// celfGreedyCtx is celfGreedy over fallible, cancelable objectives: ctx is
-// checked before every gain evaluation, and the first error (or ctx.Err())
-// aborts the selection. On error the partial selection built so far is
-// returned alongside it; callers normally discard it.
-func celfGreedyCtx(ctx context.Context, n, k int,
-	gain func(graph.NodeID) (float64, error), commit func(graph.NodeID) (float64, error)) (Selection, error) {
-	return celfGreedyTel(ctx, n, k, gain, commit, greedyMetrics{})
-}
-
-// celfGreedyTel is celfGreedyCtx with greedy telemetry.
-func celfGreedyTel(ctx context.Context, n, k int,
+// ctx is checked before every gain evaluation, and the first error (or
+// ctx.Err()) aborts the selection; the partial selection built so far is
+// returned alongside it, and callers normally discard it. gm meters the
+// evaluations and rounds; its zero value disables metering.
+func celfGreedy(ctx context.Context, n, k int,
 	gain func(graph.NodeID) (float64, error), commit func(graph.NodeID) (float64, error),
 	gm greedyMetrics) (Selection, error) {
 	if k > n {
@@ -148,6 +129,11 @@ func celfGreedyTel(ctx context.Context, n, k int,
 		heap.Push(&q, top)
 	}
 	return sel, nil
+}
+
+// infallible adapts an objective that cannot fail to celfGreedy's callbacks.
+func infallible(f func(graph.NodeID) float64) func(graph.NodeID) (float64, error) {
+	return func(v graph.NodeID) (float64, error) { return f(v), nil }
 }
 
 // naiveGreedy evaluates every candidate each round; used by the CELF
@@ -295,7 +281,9 @@ func Std(x *index.Index, k int) (Selection, error) {
 	tel := x.Telemetry()
 	sp := tel.StartSpan("infmax.std.greedy")
 	defer sp.End()
-	sel := celfGreedyMetered(x.Graph().NumNodes(), k, gain, commit, newGreedyMetrics(tel))
+	// Infallible callbacks under a context that is never canceled: no error.
+	sel, _ := celfGreedy(context.Background(), x.Graph().NumNodes(), k,
+		infallible(gain), infallible(commit), newGreedyMetrics(tel))
 	sp.AddUnits(int64(len(sel.Seeds)))
 	return sel, nil
 }

@@ -1,25 +1,31 @@
 package infmax
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"soi/internal/checkpoint"
-	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
 )
 
-// RRResumable is RRCtx under the crash-safe execution layer: sampled
-// reverse-reachable sets are periodically checkpointed, so a crash or
-// cancellation mid-sampling loses at most one flush interval of RR sets and
-// a rerun with the same graph, Sets, and Seed selects seeds bit-identical to
-// an uninterrupted run (RR set i depends only on its own split generator).
+// RRResumable selects k seeds by greedy max-cover over opts.Sets sampled
+// reverse-reachable sets — the one implementation behind RR. Gains are in
+// expected-spread units (n · covered/sets). ctx is checked between RR-set
+// samples and between greedy rounds, so a canceled context returns
+// ctx.Err() promptly — exactly the "stoppable sampler" discipline RR-sketch
+// methods presume. A zero cfg is the plain selection.
+//
+// With cfg.Path set, sampled RR sets are periodically checkpointed, so a
+// crash or cancellation mid-sampling loses at most one flush interval of RR
+// sets and a rerun with the same graph, Sets, and Seed selects seeds
+// bit-identical to an uninterrupted run (RR set i depends only on its own
+// split generator).
 //
 // The checkpoint fingerprint deliberately excludes k: the stored RR sets are
 // valid for any seed-set size, and the greedy max-cover over them is cheap
@@ -40,48 +46,33 @@ func RRResumable(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg
 		return Selection{}, fmt.Errorf("infmax: RR Sets must be >= 1, got %d", opts.Sets)
 	}
 	n := g.NumNodes()
-	rev := g.Reverse()
-	master := rng.New(opts.Seed)
-	visited := make([]bool, n)
 
-	sets := make([][]graph.NodeID, opts.Sets)
-	encode := func(done *checkpoint.Bitmap) ([]byte, error) {
-		var buf bytes.Buffer
-		for i := 0; i < opts.Sets; i++ {
-			if !done.Get(i) {
-				continue
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(i)); err != nil {
-				return nil, err
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(len(sets[i]))); err != nil {
-				return nil, err
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, sets[i]); err != nil {
-				return nil, err
-			}
+	// The sampled sets form one CSR: set i is setNodes[setOff[i]:setOff[i+1]].
+	// Sets are sampled in id order, so the completed ones are always a
+	// prefix of it.
+	setOff := make([]int32, opts.Sets+1)
+	var setNodes []graph.NodeID
+	arena := &rrArena{}
+	r, st, err := checkpoint.Start(cfg, opts.Sets, func() (uint64, func(*checkpoint.Bitmap) ([]byte, error)) {
+		fp := checkpoint.NewHasher().
+			String("infmax.RR").
+			Graph(g).
+			Int(opts.Sets).
+			Uint64(opts.Seed).
+			Sum()
+		return fp, func(done *checkpoint.Bitmap) ([]byte, error) {
+			return encodeRRSets(setOff, arena.load(), done)
 		}
-		return buf.Bytes(), nil
-	}
-
-	fp := checkpoint.NewHasher().
-		String("infmax.RR").
-		Graph(g).
-		Int(opts.Sets).
-		Uint64(opts.Seed).
-		Sum()
-	r, st, err := checkpoint.Start(cfg, fp, opts.Sets, encode)
+	})
 	if err != nil {
 		return Selection{}, err
 	}
-	resumed := checkpoint.NewBitmap(opts.Sets)
-	if st != nil {
-		if err := decodeRRPayload(st, n, sets); err != nil {
-			r.Abort()
-			return Selection{}, err
-		}
-		resumed = st.Done
+	setNodes, first, err := decodeRRPayload(st, n, setOff, setNodes)
+	if err != nil {
+		r.Abort()
+		return Selection{}, err
 	}
+	arena.publish(setNodes)
 
 	tel := opts.Telemetry
 	if tel == nil {
@@ -90,77 +81,90 @@ func RRResumable(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg
 	mSets := tel.Counter("infmax.rr_sets")
 	mSetSize := tel.Histogram("infmax.rr_set_size")
 	spSample := tel.StartSpan("infmax.rr.sample")
-	var runErr error
+	rev := g.Reverse()
+	master := rng.New(opts.Seed)
+	visited := make([]bool, n)
 	var buf []graph.NodeID
-	for i := 0; i < opts.Sets; i++ {
-		if resumed.Get(i) {
-			continue
-		}
+	var runErr error
+	sets := first
+	for ; sets < opts.Sets; sets++ {
 		if runErr = ctx.Err(); runErr != nil {
 			break
 		}
 		if runErr = r.Gate(); runErr != nil {
 			break
 		}
-		rnd := master.Split(uint64(i))
+		rnd := master.Split(uint64(sets))
 		target := graph.NodeID(rnd.Intn(n))
+		// Reverse live-edge BFS: nodes that can reach target forward are
+		// nodes reachable from target in the transpose; lazy edge flips
+		// give the correct distribution exactly as forward sampling does.
 		buf = lazyReach(rev, target, rnd, visited, buf[:0])
-		sets[i] = append([]graph.NodeID(nil), buf...)
+		moved := cap(setNodes)
+		setNodes = append(setNodes, buf...)
+		if cap(setNodes) != moved {
+			arena.publish(setNodes)
+		}
+		setOff[sets+1] = int32(len(setNodes))
 		mSets.Inc()
 		mSetSize.Observe(int64(len(buf)))
 		spSample.AddUnits(1)
-		r.MarkDone(i, nil)
+		r.MarkDone(sets, nil)
 	}
 	spSample.End()
 
-	greedyOver := func(done *checkpoint.Bitmap) (Selection, error) {
-		achieved := done.Count()
-		setOff := make([]int32, 1, achieved+1)
-		var setNodes []graph.NodeID
-		for i := 0; i < opts.Sets; i++ {
-			if !done.Get(i) {
-				continue
-			}
-			setNodes = append(setNodes, sets[i]...)
-			setOff = append(setOff, int32(len(setNodes)))
-		}
-		return rrGreedy(ctx, g, k, achieved, setOff, setNodes, tel)
-	}
-
-	switch {
-	case runErr == nil:
-		if ferr := r.Finish(true); ferr != nil {
-			return Selection{}, ferr
-		}
-		return greedyOver(fullRRBitmap(opts.Sets))
-	case errors.Is(runErr, checkpoint.ErrDeadline):
-		if ferr := r.Finish(false); ferr != nil && fault.IsKilled(ferr) {
-			return Selection{}, ferr
-		}
-		outcome := r.Partial(opts.Sets)
-		if !errors.Is(outcome, checkpoint.ErrPartial) {
-			return Selection{}, outcome
-		}
-		sel, gerr := greedyOver(r.Snapshot())
-		if gerr != nil {
-			return Selection{}, gerr
-		}
-		return sel, outcome
-	case fault.IsKilled(runErr):
-		r.Abort()
-		return Selection{}, runErr
-	default:
-		r.Finish(false)
-		return Selection{}, runErr
-	}
+	// Complete or not, the sets sampled so far are the CSR prefix up to
+	// sets.
+	var sel Selection
+	err = r.Settle(runErr, func(*checkpoint.Bitmap) error {
+		var gerr error
+		sel, gerr = rrGreedy(ctx, g, k, setOff[:sets+1], setNodes[:setOff[sets]], tel)
+		return gerr
+	})
+	return sel, err
 }
 
-// rrGreedy is the max-cover phase of the RR method over an explicit CSR of
-// numSets sampled sets. Gains are scaled by n/numSets (expected-spread
-// units).
-func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int32, setNodes []graph.NodeID, tel *telemetry.Registry) (Selection, error) {
+// rrArena hands the growing set arena to the checkpoint flusher, which
+// encodes the completed sets while sampling appends past them. An append
+// that outgrows the arena moves it, so every move is published under mu.
+type rrArena struct {
+	mu    sync.Mutex
+	nodes []graph.NodeID
+}
+
+func (a *rrArena) publish(nodes []graph.NodeID) {
+	a.mu.Lock()
+	a.nodes = nodes
+	a.mu.Unlock()
+}
+
+// load returns the current arena extended to its capacity: sets completed
+// after the last move were appended in place, past its published length.
+func (a *rrArena) load() []graph.NodeID {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.nodes[:cap(a.nodes)]
+}
+
+// encodeRRSets is the RR checkpoint payload: the size and nodes of every
+// set marked in done, a prefix of the CSR.
+func encodeRRSets(setOff []int32, setNodes []graph.NodeID, done *checkpoint.Bitmap) ([]byte, error) {
+	return checkpoint.EncodeUnits(done, func(w io.Writer, i int) error {
+		set := setNodes[setOff[i]:setOff[i+1]]
+		if err := binary.Write(w, binary.LittleEndian, uint32(len(set))); err != nil {
+			return err
+		}
+		return binary.Write(w, binary.LittleEndian, set)
+	})
+}
+
+// rrGreedy is the max-cover phase of the RR method over the CSR of sampled
+// sets (set i is setNodes[setOff[i]:setOff[i+1]]). Gains are scaled by
+// n/sets (expected-spread units).
+func rrGreedy(ctx context.Context, g *graph.Graph, k int, setOff []int32, setNodes []graph.NodeID, tel *telemetry.Registry) (Selection, error) {
 	n := g.NumNodes()
-	counts := make([]int32, n)
+	numSets := len(setOff) - 1
+	counts := make([]int32, n) // uncovered RR sets containing each node
 	for _, v := range setNodes {
 		counts[v]++
 	}
@@ -202,6 +206,8 @@ func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int3
 		sel.Gains = append(sel.Gains, float64(bestCount)*scale)
 		gm.commit(float64(bestCount) * scale)
 		sp.AddUnits(1)
+		// Mark every RR set containing best as covered and decrement the
+		// counts of their members — keeps counts exact for later rounds.
 		lo, hi := containing.off[best], containing.off[best+1]
 		for _, si := range containing.sets[lo:hi] {
 			if covered[si] {
@@ -216,49 +222,43 @@ func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int3
 	return sel, nil
 }
 
-// decodeRRPayload restores sampled RR sets from a checkpoint payload.
-func decodeRRPayload(st *checkpoint.State, n int, sets [][]graph.NodeID) error {
-	br := bytes.NewReader(st.Payload)
-	seen := 0
-	for {
-		var id uint32
-		if err := binary.Read(br, binary.LittleEndian, &id); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("%w: rr payload: %v", checkpoint.ErrCorrupt, err)
-		}
-		if int(id) >= len(sets) || !st.Done.Get(int(id)) {
-			return fmt.Errorf("%w: rr payload names set %d outside the done bitmap", checkpoint.ErrCorrupt, id)
+// decodeRRPayload appends the RR sets of a checkpoint payload to the CSR
+// (setOff, setNodes) and returns the grown arena and how many sets it
+// restored (none when st is nil). Sampling completes sets in id order, so a
+// valid checkpoint holds exactly the first sets, in order.
+func decodeRRPayload(st *checkpoint.State, n int, setOff []int32, setNodes []graph.NodeID) ([]graph.NodeID, int, error) {
+	if st == nil {
+		return setNodes, 0, nil
+	}
+	restored := 0
+	err := checkpoint.DecodeUnits(st, "rr", func(r io.Reader, id int) error {
+		if id != restored {
+			return fmt.Errorf("set %d where set %d of the done prefix belongs", id, restored)
 		}
 		var size uint32
-		if err := binary.Read(br, binary.LittleEndian, &size); err != nil {
-			return fmt.Errorf("%w: rr payload set %d: %v", checkpoint.ErrCorrupt, id, err)
+		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
+			return err
 		}
 		if int(size) > n || size == 0 {
-			return fmt.Errorf("%w: rr payload set %d has implausible size %d", checkpoint.ErrCorrupt, id, size)
+			return fmt.Errorf("implausible size %d", size)
 		}
-		set := make([]graph.NodeID, size)
-		if err := binary.Read(br, binary.LittleEndian, set); err != nil {
-			return fmt.Errorf("%w: rr payload set %d nodes: %v", checkpoint.ErrCorrupt, id, err)
+		start := len(setNodes)
+		setNodes = slices.Grow(setNodes, int(size))[:start+int(size)]
+		set := setNodes[start:]
+		if err := binary.Read(r, binary.LittleEndian, set); err != nil {
+			return fmt.Errorf("nodes: %v", err)
 		}
 		for _, v := range set {
 			if v < 0 || int(v) >= n {
-				return fmt.Errorf("%w: rr payload set %d contains out-of-range node %d", checkpoint.ErrCorrupt, id, v)
+				return fmt.Errorf("out-of-range node %d", v)
 			}
 		}
-		sets[id] = set
-		seen++
+		restored++
+		setOff[restored] = int32(len(setNodes))
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	if seen != st.Done.Count() {
-		return fmt.Errorf("%w: rr payload covers %d sets, bitmap records %d", checkpoint.ErrCorrupt, seen, st.Done.Count())
-	}
-	return nil
-}
-
-func fullRRBitmap(n int) *checkpoint.Bitmap {
-	b := checkpoint.NewBitmap(n)
-	for i := 0; i < n; i++ {
-		b.Set(i)
-	}
-	return b
+	return setNodes, restored, nil
 }

@@ -2,8 +2,8 @@ package infmax
 
 import (
 	"context"
-	"fmt"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
@@ -35,113 +35,10 @@ type RROptions struct {
 
 // RR selects k seeds by greedy max-cover over opts.Sets sampled
 // reverse-reachable sets. Gains are in expected-spread units
-// (n · covered/Sets). It is RRCtx under context.Background().
+// (n · covered/Sets). It is RRResumable under context.Background() with a
+// zero checkpoint.Config.
 func RR(g *graph.Graph, k int, opts RROptions) (Selection, error) {
-	return RRCtx(context.Background(), g, k, opts)
-}
-
-// RRCtx is RR with cooperative cancellation: ctx is checked between RR-set
-// samples and between greedy rounds, so a canceled context returns ctx.Err()
-// promptly — exactly the "stoppable sampler" discipline RR-sketch methods
-// presume.
-func RRCtx(ctx context.Context, g *graph.Graph, k int, opts RROptions) (Selection, error) {
-	if err := validateK(k, g.NumNodes()); err != nil {
-		return Selection{}, err
-	}
-	if opts.Sets < 1 {
-		return Selection{}, fmt.Errorf("infmax: RR Sets must be >= 1, got %d", opts.Sets)
-	}
-	n := g.NumNodes()
-	rev := g.Reverse()
-	master := rng.New(opts.Seed)
-	visited := make([]bool, n)
-
-	// Sample RR sets and build the inverted index node -> containing sets.
-	// rrSets is stored CSR-style; containing is the inverse mapping.
-	setOff := make([]int32, opts.Sets+1)
-	var setNodes []graph.NodeID
-	var buf []graph.NodeID
-	tel := opts.Telemetry
-	mSets := tel.Counter("infmax.rr_sets")
-	mSetSize := tel.Histogram("infmax.rr_set_size")
-	spSample := tel.StartSpan("infmax.rr.sample")
-	for i := 0; i < opts.Sets; i++ {
-		if err := ctx.Err(); err != nil {
-			spSample.End()
-			return Selection{}, err
-		}
-		r := master.Split(uint64(i))
-		target := graph.NodeID(r.Intn(n))
-		// Reverse live-edge BFS: nodes that can reach target forward are
-		// nodes reachable from target in the transpose; lazy edge flips
-		// give the correct distribution exactly as forward sampling does.
-		buf = lazyReach(rev, target, r, visited, buf[:0])
-		setNodes = append(setNodes, buf...)
-		setOff[i+1] = int32(len(setNodes))
-		mSets.Inc()
-		mSetSize.Observe(int64(len(buf)))
-		spSample.AddUnits(1)
-	}
-	spSample.End()
-	counts := make([]int32, n) // uncovered RR sets containing each node
-	for _, v := range setNodes {
-		counts[v]++
-	}
-
-	covered := make([]bool, opts.Sets)
-	chosen := make([]bool, n)
-	scale := float64(n) / float64(opts.Sets)
-	sel := Selection{Seeds: make([]graph.NodeID, 0, k), Gains: make([]float64, 0, k)}
-	// Build member lists per node lazily is wasteful; invert once.
-	containing := invertSets(n, setOff, setNodes)
-
-	if k > n {
-		k = n
-	}
-	gm := newGreedyMetrics(tel)
-	spGreedy := tel.StartSpan("infmax.rr.greedy")
-	defer spGreedy.End()
-	for round := 0; round < k; round++ {
-		if err := ctx.Err(); err != nil {
-			return Selection{}, err
-		}
-		best := graph.NodeID(-1)
-		var bestCount int32 = -1
-		evals := 0
-		for v := 0; v < n; v++ {
-			if chosen[v] {
-				continue
-			}
-			sel.LazyEvaluations++
-			evals++
-			if counts[v] > bestCount {
-				bestCount = counts[v]
-				best = graph.NodeID(v)
-			}
-		}
-		gm.evals.Add(int64(evals))
-		if best < 0 {
-			break
-		}
-		chosen[best] = true
-		sel.Seeds = append(sel.Seeds, best)
-		sel.Gains = append(sel.Gains, float64(bestCount)*scale)
-		gm.commit(float64(bestCount) * scale)
-		spGreedy.AddUnits(1)
-		// Mark every RR set containing best as covered and decrement the
-		// counts of their members — keeps counts exact for later rounds.
-		lo, hi := containing.off[best], containing.off[best+1]
-		for _, si := range containing.sets[lo:hi] {
-			if covered[si] {
-				continue
-			}
-			covered[si] = true
-			for _, v := range setNodes[setOff[si]:setOff[si+1]] {
-				counts[v]--
-			}
-		}
-	}
-	return sel, nil
+	return RRResumable(context.Background(), g, k, opts, checkpoint.Config{})
 }
 
 // lazyReach performs a lazy live-edge BFS over the given (transpose) graph.
@@ -183,14 +80,16 @@ func invertSets(n int, setOff []int32, setNodes []graph.NodeID) nodeSets {
 	for v := 1; v <= n; v++ {
 		off[v] += off[v-1]
 	}
+	// off[v] serves as v's fill cursor, ending at v's end offset, which is
+	// v+1's start: shifting the array up by one restores the starts.
 	sets := make([]int32, len(setNodes))
-	cursor := make([]int32, n)
-	copy(cursor, off[:n])
 	for si := 0; si+1 < len(setOff); si++ {
 		for _, v := range setNodes[setOff[si]:setOff[si+1]] {
-			sets[cursor[v]] = int32(si)
-			cursor[v]++
+			sets[off[v]] = int32(si)
+			off[v]++
 		}
 	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 	return nodeSets{off: off, sets: sets}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
@@ -61,7 +62,7 @@ func RRAutoCtx(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (
 	m := g.NumEdges()
 	if m == 0 {
 		// Edgeless graph: any k nodes, one RR set per node suffices.
-		sel, err := RRCtx(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed, Telemetry: opts.Telemetry})
+		sel, err := RRResumable(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed, Telemetry: opts.Telemetry}, checkpoint.Config{})
 		return sel, n, err
 	}
 
@@ -79,7 +80,7 @@ func RRAutoCtx(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (
 	if theta > maxSets {
 		theta = maxSets
 	}
-	sel, err := RRCtx(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133, Telemetry: opts.Telemetry})
+	sel, err := RRResumable(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133, Telemetry: opts.Telemetry}, checkpoint.Config{})
 	return sel, theta, err
 }
 

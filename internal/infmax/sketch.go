@@ -1,6 +1,8 @@
 package infmax
 
 import (
+	"context"
+
 	"soi/internal/graph"
 	"soi/internal/sketch"
 )
@@ -38,7 +40,8 @@ func SelectSeedsSketch(sk *sketch.Sketch, k int) (Selection, error) {
 		current = next
 		return realized
 	}
-	sel := celfGreedyMetered(n, k, gain, commit, newGreedyMetrics(tel))
+	// Infallible callbacks under a context that is never canceled: no error.
+	sel, _ := celfGreedy(context.Background(), n, k, infallible(gain), infallible(commit), newGreedyMetrics(tel))
 	sp.AddUnits(int64(len(sel.Seeds)))
 	return sel, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"soi/internal/cascade"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
@@ -46,17 +47,21 @@ type mcState struct {
 	evalCtr uint64
 }
 
-func (m *mcState) gainErr(v graph.NodeID) (float64, error) {
+// spread draws a fresh σ̂(S ∪ {v}). A checkpoint.Config carrying only the
+// registry is the plain, metered estimate.
+func (m *mcState) spread(v graph.NodeID) (float64, error) {
 	m.evalCtr++
-	est, err := cascade.ExpectedSpreadTel(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, m.opts.Telemetry)
+	return cascade.ExpectedSpreadResumable(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
+		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{Telemetry: m.opts.Telemetry})
+}
+
+func (m *mcState) gainErr(v graph.NodeID) (float64, error) {
+	est, err := m.spread(v)
 	return est - m.sigmaS, err
 }
 
 func (m *mcState) commitErr(v graph.NodeID) (float64, error) {
-	m.evalCtr++
-	est, err := cascade.ExpectedSpreadTel(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, m.opts.Telemetry)
+	est, err := m.spread(v)
 	if err != nil {
 		return 0, err
 	}
@@ -109,7 +114,7 @@ func StdMCCtx(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selec
 	m := &mcState{ctx: ctx, g: g, opts: opts}
 	sp := opts.Telemetry.StartSpan("infmax.stdmc.greedy")
 	defer sp.End()
-	sel, err := celfGreedyTel(ctx, g.NumNodes(), k, m.gainErr, m.commitErr, newGreedyMetrics(opts.Telemetry))
+	sel, err := celfGreedy(ctx, g.NumNodes(), k, m.gainErr, m.commitErr, newGreedyMetrics(opts.Telemetry))
 	if err != nil {
 		return Selection{}, err
 	}

@@ -63,7 +63,7 @@ func TC(ctx context.Context, g *graph.Graph, spheres Spheres, k int, opts TCOpti
 	tel := opts.Telemetry
 	sp := tel.StartSpan("infmax.tc.greedy")
 	defer sp.End()
-	sel, err := celfGreedyTel(ctx, g.NumNodes(), k,
+	sel, err := celfGreedy(ctx, g.NumNodes(), k,
 		func(v graph.NodeID) (float64, error) { return cov.gain(v), nil },
 		func(v graph.NodeID) (float64, error) { return cov.commit(v), nil },
 		newGreedyMetrics(tel))
@@ -136,7 +136,7 @@ func WeightedTC(g *graph.Graph, spheres Spheres, value []float64, k int) (Select
 		}
 		return total
 	}
-	return celfGreedy(g.NumNodes(), k, gain, commit), nil
+	return celfGreedy(context.Background(), g.NumNodes(), k, infallible(gain), infallible(commit), greedyMetrics{})
 }
 
 // BudgetedTC is the node-cost variant from §8: each seed has a recruitment

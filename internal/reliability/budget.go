@@ -33,7 +33,7 @@ func FromSourceBudget(ctx context.Context, g *graph.Graph, sources []graph.NodeI
 	if err := validateFromSource(g, sources, samples); err != nil {
 		return nil, 0, err
 	}
-	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, 0, samples, nil)
+	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, samples, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -42,9 +42,11 @@ func FromSourceBudget(ctx context.Context, g *graph.Graph, sources []graph.NodeI
 	master := rng.New(seed)
 	var buf []graph.NodeID
 	truncated := false
-	for i := 0; i < samples; i++ {
+	// Samples complete in order, so i counts the completed ones.
+	i := 0
+	for ; i < samples; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, r.DoneCount(), err
+			return nil, i, err
 		}
 		if err := r.Gate(); err != nil {
 			truncated = true
@@ -56,7 +58,7 @@ func FromSourceBudget(ctx context.Context, g *graph.Graph, sources []graph.NodeI
 		}
 		r.MarkDone(i, nil)
 	}
-	achieved := r.DoneCount()
+	achieved := i
 	var outcome error
 	if truncated {
 		outcome = r.Partial(samples)

@@ -13,9 +13,8 @@ import (
 	"context"
 	"fmt"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
-	"soi/internal/rng"
-	"soi/internal/worlds"
 )
 
 // ST estimates rel(g, s, t): the probability that t is reachable from s.
@@ -37,28 +36,10 @@ func FromSource(g *graph.Graph, sources []graph.NodeID, samples int, seed uint64
 
 // FromSourceCtx is FromSource with cooperative cancellation: ctx is checked
 // between cascade samples, so a canceled context returns ctx.Err() promptly.
+// It is FromSourceBudget with a zero Budget.
 func FromSourceCtx(ctx context.Context, g *graph.Graph, sources []graph.NodeID, samples int, seed uint64) ([]float64, error) {
-	if err := validateFromSource(g, sources, samples); err != nil {
-		return nil, err
-	}
-	counts := make([]int, g.NumNodes())
-	visited := make([]bool, g.NumNodes())
-	master := rng.New(seed)
-	var buf []graph.NodeID
-	for i := 0; i < samples; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		buf = worlds.SampleCascadeFromSet(g, sources, master.Split(uint64(i)), visited, buf[:0])
-		for _, v := range buf {
-			counts[v]++
-		}
-	}
-	probs := make([]float64, g.NumNodes())
-	for v := range probs {
-		probs[v] = float64(counts[v]) / float64(samples)
-	}
-	return probs, nil
+	probs, _, err := FromSourceBudget(ctx, g, sources, samples, seed, checkpoint.Budget{})
+	return probs, err
 }
 
 // Search returns the nodes reachable from the source set with estimated
@@ -69,22 +50,10 @@ func Search(g *graph.Graph, sources []graph.NodeID, threshold float64, samples i
 }
 
 // SearchCtx is Search with cooperative cancellation: ctx is checked between
-// the underlying cascade samples.
+// the underlying cascade samples. It is SearchBudget with a zero Budget.
 func SearchCtx(ctx context.Context, g *graph.Graph, sources []graph.NodeID, threshold float64, samples int, seed uint64) ([]graph.NodeID, error) {
-	if err := validateThreshold(threshold); err != nil {
-		return nil, err
-	}
-	probs, err := FromSourceCtx(ctx, g, sources, samples, seed)
-	if err != nil {
-		return nil, err
-	}
-	var out []graph.NodeID
-	for v, p := range probs {
-		if p >= threshold {
-			out = append(out, graph.NodeID(v))
-		}
-	}
-	return out, nil
+	nodes, _, err := SearchBudget(ctx, g, sources, threshold, samples, seed, checkpoint.Budget{})
+	return nodes, err
 }
 
 func validateFromSource(g *graph.Graph, sources []graph.NodeID, samples int) error {

@@ -480,14 +480,15 @@ func (s *Server) handleModes(req *http.Request) (result, error) {
 // fingerprints, so clients can validate they are talking to the dataset they
 // expect.
 func (s *Server) handleInfo(*http.Request) (result, error) {
+	graphFP, indexFP := s.fingerprints()
 	return ok(infoResponse{
 		Nodes:             s.g.NumNodes(),
 		Edges:             s.g.NumEdges(),
 		Worlds:            s.x.NumWorlds(),
 		WorldsQuarantined: s.x.QuarantinedWorlds(),
 		Mmap:              s.x.Lazy(),
-		GraphFingerprint:  strconv.FormatUint(s.graphFP, 16),
-		IndexFingerprint:  strconv.FormatUint(s.indexFP, 16),
+		GraphFingerprint:  graphFP,
+		IndexFingerprint:  indexFP,
 		SpheresLoaded:     s.spheres != nil,
 		SketchLoaded:      s.sketch != nil,
 		CacheEntries:      s.cache.len(),

@@ -271,6 +271,12 @@ func New(cfg Config) (*Server, error) {
 // GraphFingerprint returns the FNV-1a fingerprint of the loaded graph.
 func (s *Server) GraphFingerprint() uint64 { return s.graphFP }
 
+// fingerprints renders the graph and index fingerprints the way /readyz and
+// /v1/info both serve them: %016x, leading zeros kept.
+func (s *Server) fingerprints() (graph, index string) {
+	return fmt.Sprintf("%016x", s.graphFP), s.fpHex
+}
+
 // IndexFingerprint returns the content fingerprint of the loaded index.
 func (s *Server) IndexFingerprint() uint64 { return s.indexFP }
 
@@ -288,10 +294,11 @@ func (s *Server) buildMux() {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		graphFP, indexFP := s.fingerprints()
 		resp := ReadyResponse{
 			Ready:            true,
-			GraphFingerprint: fmt.Sprintf("%016x", s.graphFP),
-			IndexFingerprint: s.fpHex,
+			GraphFingerprint: graphFP,
+			IndexFingerprint: indexFP,
 			SpheresLoaded:    s.spheres != nil,
 			SketchLoaded:     s.sketch != nil,
 		}

@@ -302,9 +302,25 @@ func TestInfoEndpoint(t *testing.T) {
 	if body["worlds"] != float64(120) {
 		t.Fatalf("worlds %v, want 120", body["worlds"])
 	}
-	wantFP := fmt.Sprintf("%x", s.IndexFingerprint())
-	if body["index_fingerprint"] != wantFP {
+	// /v1/info and /readyz describe the same artifacts, so a client must see
+	// one string per fingerprint: the documented %016x, leading zeros kept.
+	_, ready := do(t, s, "/readyz")
+	for _, key := range []string{"graph_fingerprint", "index_fingerprint"} {
+		if body[key] != ready[key] {
+			t.Fatalf("%s: /v1/info serves %v, /readyz serves %v", key, body[key], ready[key])
+		}
+	}
+	if wantFP := fmt.Sprintf("%016x", s.IndexFingerprint()); body["index_fingerprint"] != wantFP {
 		t.Fatalf("index fingerprint %v, want %s", body["index_fingerprint"], wantFP)
+	}
+	// A fingerprint with leading zero nibbles is where an unpadded rendering
+	// would tell the two endpoints apart.
+	s.graphFP = 0x2a
+	_, body = do(t, s, "/v1/info")
+	_, ready = do(t, s, "/readyz")
+	if body["graph_fingerprint"] != "000000000000002a" || ready["graph_fingerprint"] != "000000000000002a" {
+		t.Fatalf("graph fingerprint 0x2a served as %v (/v1/info) and %v (/readyz), want 000000000000002a",
+			body["graph_fingerprint"], ready["graph_fingerprint"])
 	}
 	if body["spheres_loaded"] != true {
 		t.Fatalf("spheres_loaded %v, want true", body["spheres_loaded"])

@@ -53,51 +53,3 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 	_, err = ReliabilitySearch(ctx, g, []NodeID{0}, 0.5, 100, 14)
 	requireCanceled("ReliabilitySearch", err)
 }
-
-// TestDeprecatedCtxAliases keeps the pre-context-first …Ctx names compiling
-// and behaving exactly like their canonical context-first forms.
-func TestDeprecatedCtxAliases(t *testing.T) {
-	topo, err := Generate(GenConfig{Model: "ba", N: 80, M: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := WeightedCascade(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	idx, err := BuildIndexCtx(ctx, g, IndexOptions{Samples: 20, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := AllTypicalCascades(ctx, idx, TypicalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AllTypicalCascadesCtx(ctx, idx, TypicalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if JaccardDistance(want[v].Set, got[v].Set) != 0 {
-			t.Fatalf("alias diverges from canonical at node %d", v)
-		}
-	}
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	for api, err := range map[string]error{
-		"ExpectedSpreadCtx":    second(ExpectedSpreadCtx(canceled, g, []NodeID{0}, 100, 10)),
-		"SelectSeedsStdMCCtx":  second(SelectSeedsStdMCCtx(canceled, g, 2, MCOptions{Trials: 50, Seed: 11})),
-		"SelectSeedsRRCtx":     second(SelectSeedsRRCtx(canceled, g, 2, RROptions{Sets: 100, Seed: 12})),
-		"ReliabilitySearchCtx": second(ReliabilitySearchCtx(canceled, g, []NodeID{0}, 0.5, 100, 14)),
-	} {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", api, err)
-		}
-	}
-	if _, _, err := SelectSeedsRRAutoCtx(canceled, g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 13}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SelectSeedsRRAutoCtx: err = %v, want context.Canceled", err)
-	}
-}
-
-func second[T any](_ T, err error) error { return err }

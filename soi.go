@@ -83,7 +83,9 @@ func ServeTelemetry(addr string, r *Telemetry) (*telemetry.DebugServer, error) {
 // ResumeConfig configures the crash-safe execution layer under the
 // …Resumable APIs: a checkpoint file (periodically, atomically flushed off
 // the worker hot path, fingerprint-keyed so stale checkpoints are rejected)
-// and/or a deadline budget for best-effort partial results.
+// and/or a deadline budget for best-effort partial results. The zero value
+// is the plain run: BuildIndex, AllTypicalCascades, ExpectedSpread and
+// SelectSeedsRR are their …Resumable forms called with a zero ResumeConfig.
 type ResumeConfig = checkpoint.Config
 
 // Budget bounds a resumable run by wall-clock deadline while demanding a
@@ -168,23 +170,16 @@ const (
 // returns ctx.Err() promptly. Worker panics are recovered and returned as
 // errors carrying the stack instead of crashing the process.
 func BuildIndex(ctx context.Context, g *Graph, opts IndexOptions) (*Index, error) {
-	return index.BuildCtx(ctx, g, opts)
+	return index.BuildResumable(ctx, g, opts, ResumeConfig{})
 }
 
-// BuildIndexCtx is the pre-context-first name of BuildIndex.
-//
-// Deprecated: call BuildIndex, whose canonical signature is context-first.
-func BuildIndexCtx(ctx context.Context, g *Graph, opts IndexOptions) (*Index, error) {
-	return BuildIndex(ctx, g, opts)
-}
-
-// BuildIndexResumable is BuildIndexCtx under the crash-safe execution
-// layer: completed worlds are periodically checkpointed so a crash or
-// cancellation loses at most one flush interval of work, and a rerun with
-// the same graph, options, and checkpoint path produces an index
-// bit-identical to an uninterrupted build. With a deadline Budget it returns
-// a partial index over the completed worlds plus an error matching
-// ErrPartial.
+// BuildIndexResumable is BuildIndex under the crash-safe execution layer,
+// and BuildIndex is this with a zero ResumeConfig. Completed worlds are
+// periodically checkpointed so a crash or cancellation loses at most one
+// flush interval of work, and a rerun with the same graph, options, and
+// checkpoint path produces an index bit-identical to an uninterrupted
+// build. With a deadline Budget it returns a partial index over the
+// completed worlds plus an error matching ErrPartial.
 func BuildIndexResumable(ctx context.Context, g *Graph, opts IndexOptions, cfg ResumeConfig) (*Index, error) {
 	return index.BuildResumable(ctx, g, opts, cfg)
 }
@@ -222,19 +217,12 @@ func SeedSetTypicalCascade(x *Index, seeds []NodeID, opts TypicalOptions) Sphere
 // context returns ctx.Err() promptly with a nil result. Worker panics are
 // recovered into errors.
 func AllTypicalCascades(ctx context.Context, x *Index, opts TypicalOptions) ([]Sphere, error) {
-	return core.ComputeAllCtx(ctx, x, opts)
+	return core.ComputeAllResumable(ctx, x, opts, ResumeConfig{})
 }
 
-// AllTypicalCascadesCtx is the pre-context-first name of AllTypicalCascades.
-//
-// Deprecated: call AllTypicalCascades, whose canonical signature is
-// context-first.
-func AllTypicalCascadesCtx(ctx context.Context, x *Index, opts TypicalOptions) ([]Sphere, error) {
-	return AllTypicalCascades(ctx, x, opts)
-}
-
-// AllTypicalCascadesResumable is AllTypicalCascadesCtx under the crash-safe
-// execution layer: each node's sphere is periodically checkpointed (keyed on
+// AllTypicalCascadesResumable is AllTypicalCascades under the crash-safe
+// execution layer, and AllTypicalCascades is this with a zero
+// ResumeConfig. Each node's sphere is periodically checkpointed (keyed on
 // the index contents, so resuming against a different index is rejected as
 // stale). With a deadline Budget it returns the spheres computed so far —
 // unreached nodes have nil Seeds — plus an error matching ErrPartial.
@@ -303,23 +291,15 @@ func JaccardDistance(a, b []NodeID) float64 { return jaccard.Distance(a, b) }
 // ExpectedSpread estimates σ(seeds) under the IC model by Monte Carlo. The
 // simulation workers check ctx between trials.
 func ExpectedSpread(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64) (float64, error) {
-	return cascade.ExpectedSpreadCtx(ctx, g, seeds, trials, seed, 0)
+	return cascade.ExpectedSpreadResumable(ctx, g, seeds, trials, seed, 0, ResumeConfig{})
 }
 
-// ExpectedSpreadCtx is the pre-context-first name of ExpectedSpread.
-//
-// Deprecated: call ExpectedSpread, whose canonical signature is
-// context-first.
-func ExpectedSpreadCtx(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64) (float64, error) {
-	return ExpectedSpread(ctx, g, seeds, trials, seed)
-}
-
-// ExpectedSpreadResumable is ExpectedSpreadCtx under the crash-safe
-// execution layer: the per-trial cascade sizes are summed into a checkpoint
-// so a rerun returns a value bit-identical to an uninterrupted run. With a
-// deadline Budget it returns the mean over the completed trials plus an
-// error matching ErrPartial (the bound is normalized to [0,1]; multiply by
-// NumNodes for spread units).
+// ExpectedSpreadResumable is ExpectedSpread under the crash-safe execution
+// layer, and ExpectedSpread is this with a zero ResumeConfig. The per-trial
+// cascade sizes are summed into a checkpoint so a rerun returns a value
+// bit-identical to an uninterrupted run. With a deadline Budget it returns
+// the mean over the completed trials plus an error matching ErrPartial (the
+// bound is normalized to [0,1]; multiply by NumNodes for spread units).
 func ExpectedSpreadResumable(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64, cfg ResumeConfig) (float64, error) {
 	return cascade.ExpectedSpreadResumable(ctx, g, seeds, trials, seed, 0, cfg)
 }
@@ -368,14 +348,6 @@ func SelectSeedsStdMC(ctx context.Context, g *Graph, k int, opts MCOptions) (Sel
 	return infmax.StdMCCtx(ctx, g, k, opts)
 }
 
-// SelectSeedsStdMCCtx is the pre-context-first name of SelectSeedsStdMC.
-//
-// Deprecated: call SelectSeedsStdMC, whose canonical signature is
-// context-first.
-func SelectSeedsStdMCCtx(ctx context.Context, g *Graph, k int, opts MCOptions) (Selection, error) {
-	return SelectSeedsStdMC(ctx, g, k, opts)
-}
-
 // TCOptions configures SelectSeedsTC; the zero value is ready to use. Its
 // Telemetry field (nil disables) receives greedy metrics and an
 // "infmax.tc.greedy" span, replacing the removed SelectSeedsTCTel.
@@ -395,22 +367,16 @@ type RROptions = infmax.RROptions
 // et al. / TIM style): greedy max-cover over sampled RR sets. ctx is checked
 // between RR-set samples and greedy rounds.
 func SelectSeedsRR(ctx context.Context, g *Graph, k int, opts RROptions) (Selection, error) {
-	return infmax.RRCtx(ctx, g, k, opts)
+	return infmax.RRResumable(ctx, g, k, opts, ResumeConfig{})
 }
 
-// SelectSeedsRRCtx is the pre-context-first name of SelectSeedsRR.
-//
-// Deprecated: call SelectSeedsRR, whose canonical signature is context-first.
-func SelectSeedsRRCtx(ctx context.Context, g *Graph, k int, opts RROptions) (Selection, error) {
-	return SelectSeedsRR(ctx, g, k, opts)
-}
-
-// SelectSeedsRRResumable is SelectSeedsRRCtx under the crash-safe execution
-// layer: sampled RR sets are periodically checkpointed and a rerun selects
-// seeds bit-identical to an uninterrupted run. The fingerprint excludes k,
-// so one checkpoint serves runs with different seed-set sizes. With a
-// deadline Budget the greedy runs over the RR sets sampled so far and the
-// result carries an error matching ErrPartial.
+// SelectSeedsRRResumable is SelectSeedsRR under the crash-safe execution
+// layer, and SelectSeedsRR is this with a zero ResumeConfig. Sampled RR
+// sets are periodically checkpointed and a rerun selects seeds
+// bit-identical to an uninterrupted run. The fingerprint excludes k, so one
+// checkpoint serves runs with different seed-set sizes. With a deadline
+// Budget the greedy runs over the RR sets sampled so far and the result
+// carries an error matching ErrPartial.
 func SelectSeedsRRResumable(ctx context.Context, g *Graph, k int, opts RROptions, cfg ResumeConfig) (Selection, error) {
 	return infmax.RRResumable(ctx, g, k, opts, cfg)
 }
@@ -425,14 +391,6 @@ type RRAutoOptions = infmax.RRAutoOptions
 // and RR sampling).
 func SelectSeedsRRAuto(ctx context.Context, g *Graph, k int, opts RRAutoOptions) (Selection, int, error) {
 	return infmax.RRAutoCtx(ctx, g, k, opts)
-}
-
-// SelectSeedsRRAutoCtx is the pre-context-first name of SelectSeedsRRAuto.
-//
-// Deprecated: call SelectSeedsRRAuto, whose canonical signature is
-// context-first.
-func SelectSeedsRRAutoCtx(ctx context.Context, g *Graph, k int, opts RRAutoOptions) (Selection, int, error) {
-	return SelectSeedsRRAuto(ctx, g, k, opts)
 }
 
 // SelectSeedsDegree and SelectSeedsRandom are the classical baselines.
@@ -522,14 +480,6 @@ func Reliability(ctx context.Context, g *Graph, s, t NodeID, samples int, seed u
 // cascade samples.
 func ReliabilitySearch(ctx context.Context, g *Graph, sources []NodeID, threshold float64, samples int, seed uint64) ([]NodeID, error) {
 	return reliability.SearchCtx(ctx, g, sources, threshold, samples, seed)
-}
-
-// ReliabilitySearchCtx is the pre-context-first name of ReliabilitySearch.
-//
-// Deprecated: call ReliabilitySearch, whose canonical signature is
-// context-first.
-func ReliabilitySearchCtx(ctx context.Context, g *Graph, sources []NodeID, threshold float64, samples int, seed uint64) ([]NodeID, error) {
-	return ReliabilitySearch(ctx, g, sources, threshold, samples, seed)
 }
 
 // Dataset is one of the paper's 12 experimental configurations materialized
