@@ -19,12 +19,13 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Machine-readable benchmark baseline: run the root and server benchmark
-# suites and convert the combined output to JSON (schema soi.bench/v1) keyed
-# by benchmark name. BENCHTIME defaults to 1x, one iteration per benchmark:
-# a smoke run, and the setting the committed BENCH_*.json files were
-# recorded at (every entry has iterations: 1). Pass a real benchtime, e.g.
-# BENCHTIME=1s, for numbers worth comparing.
+# Machine-readable benchmark baseline: run the root, server and kernel
+# (index, core, jaccard, ...) benchmark suites and convert the combined
+# output to JSON (schema soi.bench/v1) keyed by benchmark name. BENCHTIME
+# defaults to 1x, one iteration per benchmark: a smoke run, and the setting
+# the committed BENCH_*.json files were recorded at (every entry has
+# iterations: 1). Pass a real benchtime, e.g. BENCHTIME=1s, for numbers
+# worth comparing.
 BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 
@@ -32,6 +33,8 @@ bench-json:
 	{ $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) . ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/server ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/index ; \
+	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/core ; \
+	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/jaccard ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/trace ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/sketch ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/infmax ; } \

@@ -11,13 +11,6 @@ import (
 	"soi/internal/worlds"
 )
 
-// ComputeWithScratch is Compute reusing a caller-owned scratch, the hot path
-// for query serving: a server keeps a pool of scratches and avoids the
-// per-query allocation of index.NewScratch.
-func ComputeWithScratch(x *index.Index, v graph.NodeID, opts Options, s *index.Scratch) Result {
-	return computeWithScratch(x, []graph.NodeID{v}, opts, s, newMetricsSet(telemetryFor(x, opts)))
-}
-
 // EstimateCostBudget is EstimateCostModel under cooperative cancellation and
 // a wall-clock Budget: sampling stops when ctx is canceled or the budget's
 // deadline is too near to fit another cascade. It returns the mean Jaccard
@@ -28,12 +21,20 @@ func ComputeWithScratch(x *index.Index, v graph.NodeID, opts Options, s *index.S
 // minimum the error is hard. A zero Budget makes this EstimateCostModel with
 // ctx checks.
 func EstimateCostBudget(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64, model index.Model, budget checkpoint.Budget) (float64, int, error) {
-	return estimateCost(ctx, g, seeds, set, samples, seed, model, budget, nil)
+	var c costScratch
+	return c.estimate(ctx, g, seeds, set, samples, seed, model, budget, nil)
 }
 
-// estimateCost is the one cost-estimation loop behind EstimateCostBudget
-// and EstimateCostModel; wm (nil disables) meters the sampled cascades.
-func estimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64, model index.Model, budget checkpoint.Budget, wm *worlds.Metrics) (float64, int, error) {
+// estimate is the one cost-estimation loop behind every estimate of ρ; wm
+// (nil disables) meters the sampled cascades.
+//
+// The candidate set is marked once in c.inSet, and each sampled cascade —
+// left in traversal order, never sorted — is scored by counting its marked
+// nodes. Ids outside the graph are never reached, so they count toward |set|
+// only. The integers are those a sorted merge would count, and the
+// distance, random draws and summation order are unchanged, so the estimate
+// matches sampling, sorting and jaccard.Distance bit for bit.
+func (c *costScratch) estimate(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64, model index.Model, budget checkpoint.Budget, wm *worlds.Metrics) (float64, int, error) {
 	if samples <= 0 {
 		return -1, 0, nil
 	}
@@ -44,9 +45,10 @@ func estimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID
 	if err != nil {
 		return 0, 0, err
 	}
+	c.fit(g.NumNodes())
+	c.mark(set, true)
+	defer c.mark(set, false)
 	master := rng.New(seed)
-	visited := make([]bool, g.NumNodes())
-	var buf []graph.NodeID
 	total := 0.0
 	truncated := false
 	// Samples complete in order, so i counts the completed ones.
@@ -61,12 +63,17 @@ func estimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID
 		}
 		rs := master.Split(uint64(i))
 		if model == index.LT {
-			w := worlds.SampleLTMetered(g, rs, wm)
-			buf = w.ReachableFromSet(seeds, visited, buf[:0])
+			c.buf = worlds.SampleLTMetered(g, rs, wm).AppendReachable(seeds, c.visited, c.buf[:0])
 		} else {
-			buf = worlds.SampleCascadeFromSetMetered(g, seeds, rs, visited, buf[:0], wm)
+			c.buf = worlds.SampleCascadeFromSetMetered(g, seeds, rs, c.visited, c.buf[:0], wm)
 		}
-		total += jaccard.Distance(set, buf)
+		inter := 0
+		for _, v := range c.buf {
+			if c.inSet[v] {
+				inter++
+			}
+		}
+		total += jaccard.DistanceFromCounts(inter, len(set), len(c.buf))
 		r.MarkDone(i, nil)
 	}
 	achieved := i

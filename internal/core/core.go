@@ -188,22 +188,20 @@ func (r *Result) Size() int { return len(r.Set) }
 // Compute returns the typical cascade of node v using the cascades stored
 // in the index.
 func Compute(x *index.Index, v graph.NodeID, opts Options) Result {
-	s := x.NewScratch()
-	return computeWithScratch(x, []graph.NodeID{v}, opts, s, newMetricsSet(telemetryFor(x, opts)))
+	return ComputeWithScratch(x, []graph.NodeID{v}, opts, NewScratch(x))
 }
 
 // ComputeFromSet returns the typical cascade of a seed set (the paper's §5
 // extension: the stability of a seed set is the expected cost of its typical
 // cascade).
 func ComputeFromSet(x *index.Index, seeds []graph.NodeID, opts Options) Result {
-	s := x.NewScratch()
-	return computeWithScratch(x, seeds, opts, s, newMetricsSet(telemetryFor(x, opts)))
+	return ComputeWithScratch(x, seeds, opts, NewScratch(x))
 }
 
-func computeWithScratch(x *index.Index, seeds []graph.NodeID, opts Options, s *index.Scratch, m *metricsSet) Result {
+func computeWithScratch(x *index.Index, seeds []graph.NodeID, opts Options, s *Scratch, m *metricsSet) Result {
 	start := time.Now()
-	samples := x.CascadesFromSet(seeds, s)
-	if len(samples) == 0 {
+	med, live := s.median(x, seeds, opts.Algorithm)
+	if live == 0 {
 		// Every world quarantined: there is no sample to take a median of.
 		// Callers (the daemon) treat Worlds == 0 as "unserveable", distinct
 		// from a sphere that happens to be empty.
@@ -214,34 +212,35 @@ func computeWithScratch(x *index.Index, seeds []graph.NodeID, opts Options, s *i
 			MedianTime:   time.Since(start),
 		}
 	}
-	med := computeMedian(samples, opts.Algorithm)
 	res := Result{
 		Seeds:        append([]graph.NodeID(nil), seeds...),
 		Set:          med.Set,
 		SampleCost:   med.Cost,
 		ExpectedCost: -1,
 		MedianTime:   time.Since(start),
-		Worlds:       len(samples),
+		Worlds:       live,
 	}
 	if opts.CostSamples > 0 {
 		cs := time.Now()
-		res.ExpectedCost = estimateCostMetered(x.Graph(), seeds, med.Set, opts.CostSamples, opts.CostSeed, opts.Model, m.worldMetrics())
+		// With no deadline and a background context the estimate cannot fail.
+		res.ExpectedCost, _, _ = s.cost.estimate(context.Background(), x.Graph(), seeds, med.Set,
+			opts.CostSamples, opts.CostSeed, opts.Model, checkpoint.Budget{}, m.worldMetrics())
 		res.CostTime = time.Since(cs)
 	}
 	m.observe(&res, med)
 	return res
 }
 
+// computeMedian runs a median algorithm other than MedianPrefix, which
+// Scratch.median runs on the flat arena instead.
 func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median {
 	switch alg {
 	case MedianMajority:
 		return jaccard.Majority(samples, 0.5)
 	case MedianExact:
 		return jaccard.Exact(samples)
-	case MedianPrefixRefined:
-		return jaccard.PrefixRefined(samples)
 	default:
-		return jaccard.Prefix(samples)
+		return jaccard.PrefixRefined(samples)
 	}
 }
 
@@ -258,13 +257,8 @@ func EstimateCost(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID, samp
 // per sample (LT's one-in-edge coupling cannot be sampled edge-by-edge
 // during a forward traversal).
 func EstimateCostModel(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID, samples int, seed uint64, model index.Model) float64 {
-	return estimateCostMetered(g, seeds, set, samples, seed, model, nil)
-}
-
-// estimateCostMetered is the unbudgeted estimate, sampling under wm: with
-// context.Background() and a zero Budget, estimateCost cannot fail.
-func estimateCostMetered(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID, samples int, seed uint64, model index.Model, wm *worlds.Metrics) float64 {
-	cost, _, _ := estimateCost(context.Background(), g, seeds, set, samples, seed, model, checkpoint.Budget{}, wm)
+	// With no deadline and a background context the estimate cannot fail.
+	cost, _, _ := EstimateCostBudget(context.Background(), g, seeds, set, samples, seed, model, checkpoint.Budget{})
 	return cost
 }
 

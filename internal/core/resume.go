@@ -54,7 +54,7 @@ func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg 
 	}
 
 	workers := pool.Workers(opts.Workers, n)
-	scratches := make([]*index.Scratch, workers)
+	scratches := make([]*Scratch, workers)
 	// The registry can arrive on the options, on the Config (how cliutil
 	// threads it into resumable paths) or on the index.
 	tel := cmp.Or(opts.Telemetry, cfg.Telemetry, x.Telemetry())
@@ -70,7 +70,7 @@ func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg 
 			}
 			s := scratches[worker]
 			if s == nil {
-				s = x.NewScratch()
+				s = NewScratch(x)
 				scratches[worker] = s
 			}
 			v := graph.NodeID(task)

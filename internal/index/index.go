@@ -14,7 +14,7 @@ package index
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -237,19 +237,11 @@ func (x *Index) NewScratch() *Scratch {
 	return &Scratch{mark: make([]bool, maxComps)}
 }
 
-// Cascade returns the sorted cascade of v in world i, appended to out.
-func (x *Index) Cascade(v graph.NodeID, i int, s *Scratch, out []graph.NodeID) []graph.NodeID {
-	return x.CascadeFromSet([]graph.NodeID{v}, i, s, out)
-}
-
-// CascadeFromSet returns the sorted cascade of a seed set in world i (the
-// union of the members' cascades), appended to out. A quarantined world
-// returns out unchanged.
-func (x *Index) CascadeFromSet(seeds []graph.NodeID, i int, s *Scratch, out []graph.NodeID) []graph.NodeID {
-	e := x.world(i)
-	if e == nil {
-		return out
-	}
+// reach fills s.comps with the components reachable from seeds in world e,
+// in BFS order, and marks each one. It is the one condensation traversal
+// behind every cascade query; the caller walks s.comps and clears each
+// component's mark.
+func (s *Scratch) reach(e *worldEntry, seeds []graph.NodeID) {
 	s.comps = s.comps[:0]
 	for _, v := range seeds {
 		c := e.comp[v]
@@ -266,12 +258,35 @@ func (x *Index) CascadeFromSet(seeds []graph.NodeID, i int, s *Scratch, out []gr
 			}
 		}
 	}
-	start := len(out)
+}
+
+// appendCascade appends the cascade of seeds in world e to out, unsorted:
+// reached components in BFS order, each one's members in id order.
+func (s *Scratch) appendCascade(e *worldEntry, seeds []graph.NodeID, out []graph.NodeID) []graph.NodeID {
+	s.reach(e, seeds)
 	for _, c := range s.comps {
 		s.mark[c] = false
 		out = append(out, e.members[e.memberOff[c]:e.memberOff[c+1]]...)
 	}
-	sortIDs(out[start:])
+	return out
+}
+
+// Cascade returns the sorted cascade of v in world i, appended to out.
+func (x *Index) Cascade(v graph.NodeID, i int, s *Scratch, out []graph.NodeID) []graph.NodeID {
+	return x.CascadeFromSet([]graph.NodeID{v}, i, s, out)
+}
+
+// CascadeFromSet returns the sorted cascade of a seed set in world i (the
+// union of the members' cascades), appended to out. A quarantined world
+// returns out unchanged.
+func (x *Index) CascadeFromSet(seeds []graph.NodeID, i int, s *Scratch, out []graph.NodeID) []graph.NodeID {
+	e := x.world(i)
+	if e == nil {
+		return out
+	}
+	start := len(out)
+	out = s.appendCascade(e, seeds, out)
+	slices.Sort(out[start:])
 	return out
 }
 
@@ -287,27 +302,11 @@ func (x *Index) CascadeSizeFromSet(seeds []graph.NodeID, i int, s *Scratch) int 
 	if e == nil {
 		return 0
 	}
-	s.comps = s.comps[:0]
-	for _, v := range seeds {
-		c := e.comp[v]
-		if !s.mark[c] {
-			s.mark[c] = true
-			s.comps = append(s.comps, c)
-		}
-	}
+	s.reach(e, seeds)
 	total := 0
-	for head := 0; head < len(s.comps); head++ {
-		c := s.comps[head]
-		total += int(e.memberOff[c+1] - e.memberOff[c])
-		for _, d := range e.dag[c] {
-			if !s.mark[d] {
-				s.mark[d] = true
-				s.comps = append(s.comps, d)
-			}
-		}
-	}
 	for _, c := range s.comps {
 		s.mark[c] = false
+		total += int(e.memberOff[c+1] - e.memberOff[c])
 	}
 	return total
 }
@@ -321,23 +320,7 @@ func (x *Index) VisitCascadeComps(seeds []graph.NodeID, i int, s *Scratch, f fun
 	if e == nil {
 		return
 	}
-	s.comps = s.comps[:0]
-	for _, v := range seeds {
-		c := e.comp[v]
-		if !s.mark[c] {
-			s.mark[c] = true
-			s.comps = append(s.comps, c)
-		}
-	}
-	for head := 0; head < len(s.comps); head++ {
-		c := s.comps[head]
-		for _, d := range e.dag[c] {
-			if !s.mark[d] {
-				s.mark[d] = true
-				s.comps = append(s.comps, d)
-			}
-		}
-	}
+	s.reach(e, seeds)
 	for _, c := range s.comps {
 		s.mark[c] = false
 		f(c, e.memberOff[c+1]-e.memberOff[c])
@@ -352,17 +335,39 @@ func (x *Index) Cascades(v graph.NodeID, s *Scratch) [][]graph.NodeID {
 	return x.CascadesFromSet([]graph.NodeID{v}, s)
 }
 
-// CascadesFromSet returns the cascades of a seed set in every live world.
+// CascadesFromSet returns the cascades of a seed set in every live world,
+// each sorted. It is FlatCascades split per world; the cascades share one
+// backing array but are capped, so appending to one never overwrites the
+// next.
 func (x *Index) CascadesFromSet(seeds []graph.NodeID, s *Scratch) [][]graph.NodeID {
-	n := x.NumWorlds()
-	out := make([][]graph.NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		if x.world(i) == nil {
-			continue
-		}
-		out = append(out, x.CascadeFromSet(seeds, i, s, nil))
+	elems, off := x.FlatCascades(seeds, s, nil, nil)
+	out := make([][]graph.NodeID, len(off)-1)
+	for j := range out {
+		c := elems[off[j]:off[j+1]:off[j+1]]
+		slices.Sort(c)
+		out[j] = c
 	}
 	return out
+}
+
+// FlatCascades extracts the cascade of a seed set in every live world in
+// one pass, into caller-owned storage: it truncates elems and off, reusing
+// their capacity, and fills them so that the j-th live world's cascade is
+// elems[off[j]:off[j+1]] and len(off) is LiveWorlds+1. Each cascade holds
+// distinct nodes in traversal order, unsorted — the form the flat Jaccard
+// median consumes without a per-world sort. Quarantined worlds are skipped
+// (see Cascades).
+func (x *Index) FlatCascades(seeds []graph.NodeID, s *Scratch, elems []graph.NodeID, off []int) ([]graph.NodeID, []int) {
+	elems, off = elems[:0], append(off[:0], 0)
+	for i := 0; i < x.NumWorlds(); i++ {
+		e := x.world(i)
+		if e == nil {
+			continue
+		}
+		elems = s.appendCascade(e, seeds, elems)
+		off = append(off, len(elems))
+	}
+	return elems, off
 }
 
 // MemoryFootprint returns an estimate of the index's resident bytes, used
@@ -390,20 +395,4 @@ func (x *Index) MemoryFootprint() int64 {
 		footprint(&x.entries[i])
 	}
 	return total
-}
-
-func sortIDs(s []graph.NodeID) {
-	if len(s) <= 48 {
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

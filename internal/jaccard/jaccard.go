@@ -19,7 +19,11 @@
 //     seed set's typical cascade contains the members' typical cascades.
 package jaccard
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Set is a strictly increasing slice of element ids.
 type Set = []int32
@@ -27,8 +31,15 @@ type Set = []int32
 // Distance returns the Jaccard distance d_J(a,b) = 1 - |a∩b| / |a∪b|.
 // The distance of two empty sets is 0.
 func Distance(a, b Set) float64 {
-	inter := IntersectSize(a, b)
-	union := len(a) + len(b) - inter
+	return DistanceFromCounts(IntersectSize(a, b), len(a), len(b))
+}
+
+// DistanceFromCounts is the Jaccard distance of two sets given only |a∩b|,
+// |a| and |b| — for callers that count the intersection some other way
+// than a sorted merge. It is the formula Distance evaluates, so equal counts
+// give equal bits.
+func DistanceFromCounts(inter, sizeA, sizeB int) float64 {
+	union := sizeA + sizeB - inter
 	if union == 0 {
 		return 0
 	}
@@ -139,55 +150,153 @@ type Median struct {
 // whose costs are evaluated incrementally in O(k) per prefix. Total time
 // O(Σ|S_i| + m·k + m log m) where m is the number of distinct elements and
 // k = len(sets).
+//
+// Prefix flattens sets into a pooled Scratch and runs Scratch.Prefix, so
+// the two agree bit for bit. Negative ids, and ids too sparse for dense
+// counters (at or beyond both 2^20 and four times the total set size), are
+// first ranked densely in id order, which changes neither the element order
+// nor the result.
 func Prefix(sets []Set) Median {
-	k := len(sets)
-	if k == 0 {
+	s := prefixPool.Get().(*Scratch)
+	defer prefixPool.Put(s)
+	flat, off := s.flat[:0], append(s.off[:0], 0)
+	for _, set := range sets {
+		flat = append(flat, set...)
+		off = append(off, len(flat))
+	}
+	s.flat, s.off = flat, off
+	lo, hi := int32(0), int32(-1)
+	for _, e := range flat {
+		lo, hi = min(lo, e), max(hi, e)
+	}
+	if lo >= 0 && int(hi) < max(1<<20, 4*len(flat)) {
+		return s.Prefix(flat, off)
+	}
+	ids := slices.Clone(flat)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for i, e := range flat {
+		r, _ := slices.BinarySearch(ids, e)
+		flat[i] = int32(r)
+	}
+	med := s.Prefix(flat, off)
+	for i, r := range med.Set {
+		med.Set[i] = ids[r]
+	}
+	return med
+}
+
+// prefixPool holds the scratches behind Prefix.
+var prefixPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Scratch holds the reusable buffers of the prefix median. The zero value
+// is ready to use; the per-element counters grow to the largest id seen.
+// A Scratch is not safe for concurrent use.
+type Scratch struct {
+	count    []int32 // per element id: occurrences, then rank; all zero between calls
+	distinct []int32 // distinct elements, in id order
+	order    []int32 // distinct elements, by decreasing frequency
+	hist     []int32 // per frequency: next slot in order
+	occOff   []int32 // CSR offsets over ranks into occ
+	cursor   []int32 // per rank: next free slot in occ
+	occ      []int32 // indices of the sets containing each ranked element
+	inter    []int32 // |C ∩ S_i| for the current prefix C
+	sizes    []int32 // |S_i|
+	flat     []int32 // Prefix's flattened input
+	off      []int
+}
+
+// Prefix computes the frequency-prefix median of the k = len(off)-1 sets
+// stored back to back in elems: set i is elems[off[i]:off[i+1]]. Ids must
+// be non-negative and distinct within a set, but a set need not be sorted —
+// the form index.FlatCascades extracts. The result, Cost bits and Evals
+// included, is that of the package-level Prefix on the same sets.
+//
+// The counters are dense per id, the frequency order is a counting sort
+// (frequencies are at most k), and the element-to-set incidence is a CSR,
+// so a warmed Scratch allocates only the returned median.
+func (s *Scratch) Prefix(elems []int32, off []int) Median {
+	k := len(off) - 1
+	if k <= 0 {
 		return Median{Set: nil, Cost: 0}
 	}
-
-	// Occurrence counts and the inverted index element -> containing sets.
-	counts := make(map[int32]int32)
-	for _, s := range sets {
-		for _, e := range s {
-			counts[e]++
-		}
+	all := elems[off[0]:off[k]]
+	hi := int32(-1)
+	for _, e := range all {
+		hi = max(hi, e)
 	}
-	m := len(counts)
+	if int(hi) >= len(s.count) {
+		s.count = make([]int32, hi+1)
+	}
+	count := s.count
+
+	// Occurrence counts, and the distinct elements in id order.
+	distinct := s.distinct[:0]
+	for _, e := range all {
+		if count[e] == 0 {
+			distinct = append(distinct, e)
+		}
+		count[e]++
+	}
+	s.distinct = distinct
+	m := len(distinct)
 	if m == 0 {
 		// All sets empty: the empty median is exact.
 		return Median{Set: Set{}, Cost: 0, Evals: 1}
 	}
-	elems := make([]int32, 0, m)
-	for e := range counts {
-		elems = append(elems, e)
+	slices.Sort(distinct)
+
+	// Counting sort by decreasing frequency. Placement is stable, so ids
+	// stay ascending within a frequency.
+	top := int32(0)
+	for _, e := range distinct {
+		top = max(top, count[e])
 	}
-	sort.Slice(elems, func(i, j int) bool {
-		if counts[elems[i]] != counts[elems[j]] {
-			return counts[elems[i]] > counts[elems[j]]
-		}
-		return elems[i] < elems[j]
-	})
-	rank := make(map[int32]int32, m)
-	for i, e := range elems {
-		rank[e] = int32(i)
+	hist := grow(&s.hist, int(top)+1)
+	clear(hist)
+	for _, e := range distinct {
+		hist[count[e]]++
 	}
-	// occ[r] lists (by set index) the sets containing the rank-r element.
-	occ := make([][]int32, m)
-	for si, s := range sets {
-		for _, e := range s {
-			r := rank[e]
-			occ[r] = append(occ[r], int32(si))
-		}
+	next := int32(0)
+	for f := top; f >= 1; f-- {
+		next, hist[f] = next+hist[f], next
+	}
+	order := grow(&s.order, m)
+	for _, e := range distinct {
+		f := count[e]
+		order[hist[f]] = e
+		hist[f]++
 	}
 
-	inter := make([]int32, k) // |C ∩ S_i| for the current prefix C
-	sizes := make([]int32, k)
+	// occ lists, rank by rank, the sets containing the rank-r element;
+	// count[e] becomes e's rank.
+	occOff := grow(&s.occOff, m+1)
+	cursor := grow(&s.cursor, m)
+	occOff[0] = 0
+	for r, e := range order {
+		cursor[r] = occOff[r]
+		occOff[r+1] = occOff[r] + count[e]
+		count[e] = int32(r)
+	}
+	occ := grow(&s.occ, int(occOff[m]))
+	inter := grow(&s.inter, k)
+	sizes := grow(&s.sizes, k)
 	nonEmpty := 0
-	for i, s := range sets {
-		sizes[i] = int32(len(s))
-		if len(s) > 0 {
+	for i := 0; i < k; i++ {
+		set := elems[off[i]:off[i+1]]
+		for _, e := range set {
+			r := count[e]
+			occ[cursor[r]] = int32(i)
+			cursor[r]++
+		}
+		inter[i] = 0
+		sizes[i] = int32(len(set))
+		if len(set) > 0 {
 			nonEmpty++
 		}
+	}
+	for _, e := range distinct {
+		count[e] = 0
 	}
 
 	// Cost of the empty prefix: distance 1 to each non-empty set.
@@ -195,7 +304,7 @@ func Prefix(sets []Set) Median {
 	bestCost := float64(nonEmpty) / float64(k)
 
 	for pfx := 1; pfx <= m; pfx++ {
-		for _, si := range occ[pfx-1] {
+		for _, si := range occ[occOff[pfx-1]:occOff[pfx]] {
 			inter[si]++
 		}
 		total := 0.0
@@ -213,9 +322,18 @@ func Prefix(sets []Set) Median {
 	}
 
 	med := make(Set, bestLen)
-	copy(med, elems[:bestLen])
-	sortInt32(med)
+	copy(med, order[:bestLen])
+	slices.Sort(med)
 	return Median{Set: med, Cost: bestCost, Evals: m + 1}
+}
+
+// grow returns (*buf)[:n], reallocating *buf when its capacity is short.
+func grow(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Majority returns the elements present in at least a fraction theta of the
@@ -244,7 +362,7 @@ func Majority(sets []Set, theta float64) Median {
 			med = append(med, e)
 		}
 	}
-	sortInt32(med)
+	slices.Sort(med)
 	return Median{Set: med, Cost: MeanDistance(med, sets), Evals: 1}
 }
 
@@ -312,8 +430,4 @@ func popcount(x uint32) int {
 		n++
 	}
 	return n
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

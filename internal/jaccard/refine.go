@@ -1,6 +1,6 @@
 package jaccard
 
-import "sort"
+import "slices"
 
 // Refine improves a candidate median by steepest-descent local search over
 // single-element toggles: at each sweep it evaluates, for every element of
@@ -40,7 +40,7 @@ func Refine(sets []Set, start Set, maxSweeps int) Median {
 	for e := range counts {
 		universe = append(universe, e)
 	}
-	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
+	slices.Sort(universe)
 	rank := make(map[int32]int32, len(universe))
 	for i, e := range universe {
 		rank[e] = int32(i)

@@ -1,6 +1,9 @@
 package jaccard
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Weighted Jaccard medians.
 //
@@ -162,7 +165,7 @@ func WeightedPrefix(sets []Set, weight []float64) Median {
 
 	med := make(Set, bestLen)
 	copy(med, elems[:bestLen])
-	sortInt32(med)
+	slices.Sort(med)
 	return Median{Set: med, Cost: bestCost, Evals: len(elems) + 1}
 }
 
@@ -203,7 +206,7 @@ func WeightedRefine(sets []Set, weight []float64, start Set, maxSweeps int) Medi
 	for _, e := range start {
 		add(e)
 	}
-	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
+	slices.Sort(universe)
 	rank := make(map[int32]int32, len(universe))
 	for i, e := range universe {
 		rank[e] = int32(i)

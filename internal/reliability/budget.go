@@ -52,7 +52,7 @@ func FromSourceBudget(ctx context.Context, g *graph.Graph, sources []graph.NodeI
 			truncated = true
 			break
 		}
-		buf = worlds.SampleCascadeFromSet(g, sources, master.Split(uint64(i)), visited, buf[:0])
+		buf = worlds.SampleCascadeFromSetMetered(g, sources, master.Split(uint64(i)), visited, buf[:0], nil)
 		for _, v := range buf {
 			counts[v]++
 		}

@@ -64,12 +64,20 @@ func New(seed uint64) *PCG32 {
 // with the same seed but different stream values produce uncorrelated
 // sequences; this is how parallel workers obtain private generators.
 func NewStream(seed, stream uint64) *PCG32 {
-	p := &PCG32{inc: (Mix64(stream)<<1 | 1)}
+	p := new(PCG32)
+	p.seed(seed, stream)
+	return p
+}
+
+// seed puts p at the start of stream `stream` under seed. Keeping it (and
+// splitFrom) out of line leaves NewStream and Split small enough to inline,
+// so a generator that does not outlive its caller stays off the heap.
+func (p *PCG32) seed(seed, stream uint64) {
+	p.inc = Mix64(stream)<<1 | 1
 	p.state = 0
 	p.next()
 	p.state += Mix64(seed)
 	p.next()
-	return p
 }
 
 // Split derives a child generator from the parent's seed material and an
@@ -77,7 +85,14 @@ func NewStream(seed, stream uint64) *PCG32 {
 // does not advance the parent, so the assignment of streams to work items is
 // stable regardless of scheduling order.
 func (p *PCG32) Split(i uint64) *PCG32 {
-	return NewStream(Mix64(p.state^Mix64(i)), p.inc>>1^i)
+	q := new(PCG32)
+	q.splitFrom(p, i)
+	return q
+}
+
+// splitFrom seeds q as p's i-th child (see Split).
+func (q *PCG32) splitFrom(p *PCG32, i uint64) {
+	q.seed(Mix64(p.state^Mix64(i)), p.inc>>1^i)
 }
 
 func (p *PCG32) next() uint32 {

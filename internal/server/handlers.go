@@ -10,7 +10,6 @@ import (
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
-	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/reliability"
 	"soi/internal/trace"
@@ -173,10 +172,10 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 		return result{}, badRequest("samples must be >= 0, got %d", samples)
 	}
 
+	sc := s.scratch.Get().(*core.Scratch)
+	defer s.scratch.Put(sc)
 	csp := trace.Child(req.Context(), "sphere.compute")
-	sc := s.scratch.Get().(*index.Scratch)
-	r := core.ComputeWithScratch(s.x, v, core.Options{Telemetry: s.cfg.Telemetry}, sc)
-	s.scratch.Put(sc)
+	r := core.ComputeWithScratch(s.x, []graph.NodeID{v}, core.Options{Telemetry: s.cfg.Telemetry}, sc)
 	csp.End()
 	qp, err := s.quarantinePartial(1) // sample cost is a [0,1] Jaccard average
 	if err != nil {
@@ -193,7 +192,7 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 	if samples > 0 {
 		ectx, esp := trace.StartChild(req.Context(), "stability.estimate",
 			trace.Int("samples", int64(samples)))
-		stab, achieved, err := core.EstimateCostBudget(ectx, s.g,
+		stab, achieved, err := sc.EstimateCostBudget(ectx, s.g,
 			[]graph.NodeID{v}, r.Set, samples, s.querySeed(v), s.cfg.Model,
 			samplingBudget(ectx))
 		esp.SetAttrs(trace.Int("achieved", int64(achieved)))
@@ -227,8 +226,10 @@ func (s *Server) handleStability(req *http.Request) (result, error) {
 		return result{}, badRequest("samples must be >= 1, got %d", samples)
 	}
 
+	sc := s.scratch.Get().(*core.Scratch)
+	defer s.scratch.Put(sc)
 	csp := trace.Child(req.Context(), "sphere.compute")
-	r := core.ComputeFromSet(s.x, seeds, core.Options{Telemetry: s.cfg.Telemetry})
+	r := core.ComputeWithScratch(s.x, seeds, core.Options{Telemetry: s.cfg.Telemetry}, sc)
 	csp.End()
 	qp, err := s.quarantinePartial(1)
 	if err != nil {
@@ -236,7 +237,7 @@ func (s *Server) handleStability(req *http.Request) (result, error) {
 	}
 	ectx, esp := trace.StartChild(req.Context(), "stability.estimate",
 		trace.Int("samples", int64(samples)))
-	stab, achieved, err := core.EstimateCostBudget(ectx, s.g,
+	stab, achieved, err := sc.EstimateCostBudget(ectx, s.g,
 		seeds, r.Set, samples, s.querySeed(seeds...), s.cfg.Model,
 		samplingBudget(ectx))
 	esp.SetAttrs(trace.Int("achieved", int64(achieved)))
@@ -345,8 +346,8 @@ func (s *Server) handleSpread(req *http.Request) (result, error) {
 	switch method {
 	case "", "index":
 		isp := trace.Child(req.Context(), "spread.index")
-		sc := s.scratch.Get().(*index.Scratch)
-		spread := cascade.SpreadFromIndex(s.x, seeds, sc)
+		sc := s.scratch.Get().(*core.Scratch)
+		spread := cascade.SpreadFromIndex(s.x, seeds, sc.Index())
 		s.scratch.Put(sc)
 		isp.End()
 		// Spread is in node units, so the [0,1] Hoeffding bound scales by n.

@@ -163,7 +163,7 @@ type Server struct {
 	cache   *lruCache
 	flights *flightGroup
 	adm     *admission
-	scratch sync.Pool // *index.Scratch
+	scratch sync.Pool // *core.Scratch
 
 	mux      *http.ServeMux
 	srv      *http.Server
@@ -263,7 +263,7 @@ func New(cfg Config) (*Server, error) {
 			s.tcSets[v] = cfg.Spheres[v].Set
 		}
 	}
-	s.scratch.New = func() any { return s.x.NewScratch() }
+	s.scratch.New = func() any { return core.NewScratch(s.x) }
 	s.buildMux()
 	return s, nil
 }

@@ -2,6 +2,7 @@ package worlds
 
 import (
 	"fmt"
+	"slices"
 
 	"soi/internal/graph"
 	"soi/internal/rng"
@@ -124,7 +125,7 @@ func SimulateLT(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32) []graph.Node
 		}
 		frontier = next
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -15,6 +15,7 @@ package worlds
 
 import (
 	"math/bits"
+	"slices"
 
 	"soi/internal/graph"
 	"soi/internal/rng"
@@ -96,15 +97,23 @@ func (w *World) VisitSuccessors(u int32, f func(v int32)) {
 // caller scratch of length NumNodes, all false on entry and reset on exit;
 // results append to out.
 func (w *World) Reachable(src graph.NodeID, visited []bool, out []graph.NodeID) []graph.NodeID {
-	return w.reachMulti([]graph.NodeID{src}, visited, out)
+	return w.ReachableFromSet([]graph.NodeID{src}, visited, out)
 }
 
 // ReachableFromSet returns the sorted cascade of the seed set in this world.
 func (w *World) ReachableFromSet(seeds []graph.NodeID, visited []bool, out []graph.NodeID) []graph.NodeID {
-	return w.reachMulti(seeds, visited, out)
+	start := len(out)
+	out = w.AppendReachable(seeds, visited, out)
+	slices.Sort(out[start:])
+	return out
 }
 
-func (w *World) reachMulti(seeds []graph.NodeID, visited []bool, out []graph.NodeID) []graph.NodeID {
+// AppendReachable appends the cascade of the seed set in this world to out
+// in traversal order: the seeds first (in argument order, repeats dropped),
+// then every other reached node in BFS discovery order. It is the traversal
+// behind ReachableFromSet, for callers that only count or mark the cascade
+// and so have no use for a sort. visited is as for Reachable.
+func (w *World) AppendReachable(seeds []graph.NodeID, visited []bool, out []graph.NodeID) []graph.NodeID {
 	start := len(out)
 	for _, s := range seeds {
 		if !visited[s] {
@@ -126,11 +135,9 @@ func (w *World) reachMulti(seeds []graph.NodeID, visited []bool, out []graph.Nod
 			}
 		}
 	}
-	res := out[start:]
-	for _, v := range res {
+	for _, v := range out[start:] {
 		visited[v] = false
 	}
-	sortIDs(res)
 	return out
 }
 
@@ -143,13 +150,21 @@ func SampleCascade(g *graph.Graph, src graph.NodeID, r *rng.PCG32, visited []boo
 }
 
 // SampleCascadeFromSet is SampleCascade for a seed set: the cascade is the
-// union of nodes reached from any seed through live edges.
+// union of nodes reached from any seed through live edges, returned sorted.
 func SampleCascadeFromSet(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool, out []graph.NodeID) []graph.NodeID {
-	return SampleCascadeFromSetMetered(g, seeds, r, visited, out, nil)
+	start := len(out)
+	out = SampleCascadeFromSetMetered(g, seeds, r, visited, out, nil)
+	slices.Sort(out[start:])
+	return out
 }
 
-// SampleCascadeFromSetMetered is SampleCascadeFromSet with telemetry: m
-// (nil allowed) records the cascade size and edge draws once per cascade.
+// SampleCascadeFromSetMetered is the lazy sampling traversal behind
+// SampleCascadeFromSet, with telemetry: m (nil allowed) records the cascade
+// size and edge draws once per cascade. The cascade is appended to out
+// unsorted, in traversal order: the seeds first (in argument order, repeats
+// dropped), then every other reached node in BFS discovery order. Callers
+// that only count or mark the cascade use it as is; the others sort it (as
+// SampleCascadeFromSet does). Sorting or not, the random draws are the same.
 func SampleCascadeFromSetMetered(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool, out []graph.NodeID, m *Metrics) []graph.NodeID {
 	start := len(out)
 	flips := 0
@@ -178,55 +193,6 @@ func SampleCascadeFromSetMetered(g *graph.Graph, seeds []graph.NodeID, r *rng.PC
 	for _, v := range res {
 		visited[v] = false
 	}
-	sortIDs(res)
 	m.cascade(len(res), flips)
 	return out
-}
-
-func sortIDs(s []graph.NodeID) {
-	if len(s) < 2 {
-		return
-	}
-	// Insertion sort below a threshold, simple bottom-up merge above. The
-	// cascades here are usually short; avoiding sort.Slice's reflection
-	// keeps this off the sampling profile.
-	if len(s) <= 48 {
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return
-	}
-	buf := make([]graph.NodeID, len(s))
-	for width := 1; width < len(s); width *= 2 {
-		for lo := 0; lo < len(s); lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > len(s) {
-				mid = len(s)
-			}
-			if hi > len(s) {
-				hi = len(s)
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if s[i] <= s[j] {
-					buf[k] = s[i]
-					i++
-				} else {
-					buf[k] = s[j]
-					j++
-				}
-				k++
-			}
-			copy(buf[k:hi], s[i:mid])
-			copy(buf[k+mid-i:hi], s[j:hi])
-		}
-		copy(s, buf)
-	}
 }

@@ -2,7 +2,7 @@ package worlds
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +103,7 @@ func bfsReference(w *World, src graph.NodeID) []graph.NodeID {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -271,16 +271,77 @@ func TestQuickWorldCascadeSubsetOfDeterministicReach(t *testing.T) {
 	}
 }
 
-func TestSortIDsLarge(t *testing.T) {
-	r := rng.New(12)
-	s := make([]graph.NodeID, 500)
-	for i := range s {
-		s[i] = graph.NodeID(r.Intn(1000))
+// TestTraversalOrderAndSortedForms pins the two output contracts: the
+// traversal forms (SampleCascadeFromSetMetered, AppendReachable) append the
+// seeds first and then the BFS discoveries, with no repeats; the sorted
+// forms append the same nodes sorted after the same random draws, leaving
+// anything already in out untouched. Cascades here run to hundreds of
+// nodes, well past any small-slice sorting cutoff.
+func TestTraversalOrderAndSortedForms(t *testing.T) {
+	const n = 600
+	bb := graph.NewBuilder(n)
+	r := rng.New(21)
+	for i := 0; i < 4*n; i++ {
+		u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+		if u != v {
+			bb.AddEdge(u, v, 0.45)
+		}
 	}
-	sortIDs(s)
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			t.Fatalf("not sorted at %d: %v > %v", i, s[i-1], s[i])
+	g := bb.MustBuild()
+	visited := make([]bool, n)
+	prefix := []graph.NodeID{n + 7, -3}
+	check := func(name string, seeds, bfs, sorted []graph.NodeID) {
+		t.Helper()
+		if !equal(sorted[:len(prefix)], prefix) || !equal(bfs[:len(prefix)], prefix) {
+			t.Fatalf("%s: existing out contents were modified", name)
+		}
+		bfs, sorted = bfs[len(prefix):], sorted[len(prefix):]
+		var wantSeeds []graph.NodeID
+		for _, s := range seeds {
+			if !contains(wantSeeds, s) {
+				wantSeeds = append(wantSeeds, s)
+			}
+		}
+		if !equal(bfs[:len(wantSeeds)], wantSeeds) {
+			t.Fatalf("%s: traversal order starts %v, want the seeds %v", name, bfs[:len(wantSeeds)], wantSeeds)
+		}
+		want := slices.Clone(bfs)
+		slices.Sort(want)
+		if !equal(sorted, want) {
+			t.Fatalf("%s: sorted form %v is not the sorted traversal %v", name, sorted, bfs)
+		}
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i-1] >= sorted[i] {
+				t.Fatalf("%s: repeated node %d", name, sorted[i])
+			}
+		}
+	}
+	big := 0
+	for trial := 0; trial < 40; trial++ {
+		seeds := []graph.NodeID{graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))}
+		seeds = append(seeds, seeds[0])
+		ra, rb := rng.New(uint64(trial)), rng.New(uint64(trial))
+		bfs := SampleCascadeFromSetMetered(g, seeds, ra, visited, slices.Clone(prefix), nil)
+		sorted := SampleCascadeFromSet(g, seeds, rb, visited, slices.Clone(prefix))
+		if ra.Uint64() != rb.Uint64() {
+			t.Fatal("sorted and traversal forms consumed different random draws")
+		}
+		check("lazy", seeds, bfs, sorted)
+		if len(bfs)-len(prefix) > 48 {
+			big++
+		}
+
+		w := Sample(g, rng.New(uint64(1000+trial)))
+		check("world", seeds,
+			w.AppendReachable(seeds, visited, slices.Clone(prefix)),
+			w.ReachableFromSet(seeds, visited, slices.Clone(prefix)))
+	}
+	if big == 0 {
+		t.Fatal("fixture produced no cascade above 48 nodes")
+	}
+	for v, b := range visited {
+		if b {
+			t.Fatalf("visited[%d] left set", v)
 		}
 	}
 }
@@ -336,25 +397,5 @@ func BenchmarkSampleCascadeLazy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = SampleCascade(g, graph.NodeID(i%1000), r, visited, nil)
-	}
-}
-
-func TestSortIDsAllLengths(t *testing.T) {
-	// The bottom-up merge path has boundary behaviour at the insertion-sort
-	// cutoff and at power-of-two widths; exercise every length through 260.
-	r := rng.New(77)
-	for n := 0; n <= 260; n++ {
-		s := make([]graph.NodeID, n)
-		for i := range s {
-			s[i] = graph.NodeID(r.Intn(64)) // duplicates likely
-		}
-		want := append([]graph.NodeID(nil), s...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		sortIDs(s)
-		for i := range s {
-			if s[i] != want[i] {
-				t.Fatalf("length %d: position %d: got %v want %v", n, i, s, want)
-			}
-		}
 	}
 }
