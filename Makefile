@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json fmt fuzz-smoke server-smoke topology-smoke fsck-smoke trace-smoke sketch-smoke conformance cover soibench-test all
+.PHONY: build test race vet bench bench-json fmt fmt-check fuzz-smoke server-smoke topology-smoke fsck-smoke trace-smoke sketch-smoke conformance cover soibench-test all
 
 all: build vet test
 
@@ -111,3 +111,9 @@ cover:
 
 fmt:
 	gofmt -w .
+
+# Fails, listing the files, when gofmt would rewrite anything in either
+# module (the root and the soibench benchmark module).
+fmt-check:
+	@out=$$(gofmt -l . soibench); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

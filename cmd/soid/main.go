@@ -35,7 +35,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -44,10 +43,10 @@ import (
 	"time"
 
 	"soi"
-	"soi/internal/atomicfile"
 	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/graph"
+	"soi/internal/httpapi"
 	"soi/internal/index"
 	"soi/internal/server"
 	"soi/internal/sketch"
@@ -107,18 +106,13 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 	// Bind the address before loading anything: /healthz answers 200 and
 	// /readyz 503 "loading" from the first instant, so routers and scripts
 	// can tell "starting up" from "dead" while the artifacts load.
-	gate := server.NewGate()
+	gate := httpapi.NewGate()
 	resolved, err := gate.Start(addr)
 	if err != nil {
 		return err
 	}
-	if addrFile != "" {
-		if err := atomicfile.WriteFile(addrFile, func(w io.Writer) error {
-			_, err := fmt.Fprintln(w, resolved)
-			return err
-		}); err != nil {
-			return err
-		}
+	if err := cliutil.WriteAddrFile(addrFile, resolved); err != nil {
+		return err
 	}
 	log.Printf("listening on http://%s (loading artifacts)", resolved)
 
@@ -237,25 +231,9 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 	log.Printf("draining (timeout %s)", drain)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	err = srv.Shutdown(ctx) // no listener of its own: flips the drain flag
-	if gerr := gate.Shutdown(ctx); err == nil {
-		err = gerr
-	}
-
-	if statsJSON != "" {
-		rep := tel.Report()
-		werr := atomicfile.WriteFile(statsJSON, func(w io.Writer) error {
-			b, jerr := rep.JSON()
-			if jerr != nil {
-				return jerr
-			}
-			_, werr := w.Write(b)
-			return werr
-		})
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "soid: writing stats to %s: %v\n", statsJSON, werr)
-		}
-	}
+	srv.Shutdown()
+	err = gate.Shutdown(ctx)
+	cliutil.WriteReport("soid", statsJSON, tel.Report())
 	if err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

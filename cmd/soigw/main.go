@@ -28,7 +28,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -36,8 +35,8 @@ import (
 	"syscall"
 	"time"
 
-	"soi/internal/atomicfile"
 	"soi/internal/cliutil"
+	"soi/internal/httpapi"
 	"soi/internal/router"
 	"soi/internal/telemetry"
 )
@@ -115,6 +114,17 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 		return err
 	}
 
+	// Bind through the same Gate as soid: /readyz answers 503 "loading"
+	// until the router is assembled.
+	gate := httpapi.NewGate()
+	resolved, err := gate.Start(addr)
+	if err != nil {
+		return err
+	}
+	if err := cliutil.WriteAddrFile(addrFile, resolved); err != nil {
+		return err
+	}
+
 	tel := telemetry.New()
 	tel.SetTool("soigw")
 	telemetry.PublishExpvar("soi", tel)
@@ -147,18 +157,8 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 		return err
 	}
 
-	resolved, err := rt.Start(addr)
-	if err != nil {
-		return err
-	}
-	if addrFile != "" {
-		if err := atomicfile.WriteFile(addrFile, func(w io.Writer) error {
-			_, err := fmt.Fprintln(w, resolved)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
+	rt.StartProbing()
+	gate.Ready(rt.Handler())
 	log.Printf("serving on http://%s  shards=%d nodes=%d cut_edges=%d graph=%s",
 		resolved, len(topo.Shards), topo.NumNodes, topo.CutEdges, topo.GraphFingerprint)
 
@@ -168,22 +168,9 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 	log.Printf("draining (timeout %s)", drain)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	err = rt.Shutdown(ctx)
-
-	if statsJSON != "" {
-		rep := tel.Report()
-		werr := atomicfile.WriteFile(statsJSON, func(w io.Writer) error {
-			b, jerr := rep.JSON()
-			if jerr != nil {
-				return jerr
-			}
-			_, werr := w.Write(b)
-			return werr
-		})
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "soigw: writing stats to %s: %v\n", statsJSON, werr)
-		}
-	}
+	rt.Shutdown()
+	err = gate.Shutdown(ctx)
+	cliutil.WriteReport("soigw", statsJSON, tel.Report())
 	if err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

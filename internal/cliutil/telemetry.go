@@ -66,25 +66,46 @@ func (t *RunTelemetry) Flush() {
 			return
 		}
 		rep := t.Registry.Report()
-		if t.statsPath != "" {
-			err := atomicfile.WriteFile(t.statsPath, func(w io.Writer) error {
-				b, err := rep.JSON()
-				if err != nil {
-					return err
-				}
-				_, err = w.Write(b)
-				return err
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: writing stats to %s: %v\n", t.Tool, t.statsPath, err)
-			}
-		}
+		WriteReport(t.Tool, t.statsPath, rep)
 		rep.WriteTable(os.Stderr)
 		if t.server != nil {
 			if err := t.server.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: closing debug server: %v\n", t.Tool, err)
 			}
 		}
+	})
+}
+
+// WriteReport writes rep as the -stats-json file at path, atomically; an
+// empty path writes nothing. A failure is reported on stderr and otherwise
+// ignored: telemetry must not turn a successful run into a failed one.
+func WriteReport(tool, path string, rep telemetry.Report) {
+	if path == "" {
+		return
+	}
+	err := atomicfile.WriteFile(path, func(w io.Writer) error {
+		b, err := rep.JSON()
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(b)
+		return err
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: writing stats to %s: %v\n", tool, path, err)
+	}
+}
+
+// WriteAddrFile writes a daemon's resolved listen address to path (the
+// -addr-file flag), atomically, so a script polling the file never reads a
+// partial address; an empty path writes nothing.
+func WriteAddrFile(path, addr string) error {
+	if path == "" {
+		return nil
+	}
+	return atomicfile.WriteFile(path, func(w io.Writer) error {
+		_, err := fmt.Fprintln(w, addr)
+		return err
 	})
 }
 

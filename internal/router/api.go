@@ -3,19 +3,16 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"expvar"
+	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"soi/internal/fault"
-	"soi/internal/server"
+	"soi/internal/httpapi"
 	"soi/internal/trace"
 )
 
@@ -24,22 +21,12 @@ import (
 // nothing to degrade to, so the client gets a retryable error instead.
 const CodeShardUnavailable = "shard_unavailable"
 
-// gwError is a gateway-raised request error.
-type gwError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *gwError) Error() string { return e.msg }
-
-func gwBadRequest(format string, args ...any) *gwError {
-	return &gwError{status: http.StatusBadRequest, code: server.CodeBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func gwNotFound(format string, args ...any) *gwError {
-	return &gwError{status: http.StatusNotFound, code: server.CodeNotFound, msg: fmt.Sprintf(format, args...)}
+func shardUnavailable(shard int, err error) *httpapi.Error {
+	return &httpapi.Error{
+		Status: http.StatusServiceUnavailable, Code: CodeShardUnavailable,
+		Msg:        fmt.Sprintf("shard %d unavailable: %v", shard, err),
+		RetryAfter: time.Second,
+	}
 }
 
 // Handler returns the gateway mux.
@@ -47,10 +34,7 @@ func (r *Router) Handler() http.Handler { return r.mux }
 
 func (r *Router) buildMux() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	httpapi.Mount(mux, r.cfg.Telemetry, r.cfg.Tracer)
 	mux.HandleFunc("GET /readyz", r.handleReadyz)
 	mux.Handle("GET /v1/info", r.endpoint("info", r.handleInfo))
 	mux.HandleFunc("GET /v1/topology", r.handleTopology)
@@ -60,55 +44,19 @@ func (r *Router) buildMux() {
 	mux.Handle("GET /v1/seeds", r.endpoint("seeds", r.handleSeeds))
 	mux.Handle("GET /v1/spread", r.endpoint("spread", r.handleSpread))
 	mux.Handle("GET /v1/reliability", r.endpoint("reliability", r.handleReliability))
-
-	if r.cfg.Telemetry != nil {
-		mux.Handle("GET /metrics", r.cfg.Telemetry.Handler())
-	}
-	mux.Handle("GET /debug/traces", r.cfg.Tracer.Handler("/debug/traces"))
-	mux.Handle("GET /debug/traces/", r.cfg.Tracer.Handler("/debug/traces"))
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if fault.HTTPEnabled() {
-		mux.Handle("/debug/failpoints", fault.Handler())
-	}
 	r.mux = mux
 }
 
-// Start binds addr and serves until Shutdown; returns the resolved address.
-func (r *Router) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	r.StartProbing()
-	r.srv = &http.Server{Handler: r.mux, ReadHeaderTimeout: 10 * time.Second}
-	r.done = make(chan struct{})
-	go func() {
-		defer close(r.done)
-		_ = r.srv.Serve(ln)
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Shutdown drains the gateway: new requests get 503 code "draining",
-// in-flight scatters finish (bounded by ctx), probers stop.
-func (r *Router) Shutdown(ctx context.Context) error {
-	r.draining.Store(true)
+// Shutdown starts the drain: new requests get 503 code "draining", /readyz
+// goes not-ready, and the health probers stop. In-flight scatters finish;
+// the listener (httpapi.Gate) waits for them.
+func (r *Router) Shutdown() {
+	r.frame.Drain()
 	r.Close()
-	if r.srv == nil {
-		return nil
-	}
-	err := r.srv.Shutdown(ctx)
-	<-r.done
-	return err
 }
 
 func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	resp := server.ReadyResponse{Ready: true}
+	resp := httpapi.ReadyResponse{Ready: true}
 	var unready []string
 	for s, group := range r.shards {
 		n := 0
@@ -121,20 +69,14 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 			unready = append(unready, strconv.Itoa(s))
 		}
 	}
-	if r.draining.Load() {
+	if r.frame.Draining() {
 		resp.Ready = false
 		resp.Reason = "draining"
 	} else if len(unready) > 0 {
 		resp.Ready = false
 		resp.Reason = "no healthy replica for shard(s) " + strings.Join(unready, ",")
 	}
-	status := http.StatusOK
-	if !resp.Ready {
-		status = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	httpapi.WriteReady(w, resp)
 }
 
 // degradeCarrier extracts degradeInfo from any merged gateway response (the
@@ -144,103 +86,60 @@ type degradeCarrier interface{ degradeFields() degradeInfo }
 
 func (d degradeInfo) degradeFields() degradeInfo { return d }
 
-// endpoint wraps a gateway handler with tracing, drain check, budget context,
-// error mapping, degradation metrics, and the request log.
+// endpoint wraps a gateway handler inside the shared request frame with
+// the budget context, error mapping, and degradation metrics.
 func (r *Router) endpoint(name string, fn func(*http.Request) (int, any, error)) http.Handler {
 	spanName := "soigw." + name
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
 		r.mRequests.Inc()
-
-		// Root-or-continued span (a client-supplied traceparent is honored);
-		// the trace id is echoed as X-SOI-Request-ID so clients can quote it
-		// back to /debug/traces/{id}.
-		rctx, span := r.cfg.Tracer.StartRequest(req, spanName,
-			trace.String("endpoint", name), trace.String("path", req.URL.Path))
-		if span != nil {
-			req = req.WithContext(rctx)
-			w.Header().Set(trace.RequestIDHeader, span.RequestID())
-		}
-
-		status := http.StatusOK
-		errCode := ""
-		var deg degradeInfo
-		defer func() {
-			dur := time.Since(start)
-			span.SetHTTPStatus(status)
-			if errCode != "" {
-				span.SetError(errCode)
-			}
-			span.End()
-			if r.cfg.RequestLog != nil {
-				r.cfg.RequestLog.Log(trace.RequestRecord{
-					Service:      "soigw",
-					TraceID:      span.RequestID(),
-					Endpoint:     name,
-					Path:         req.URL.RequestURI(),
-					Status:       status,
-					DurationMS:   float64(dur) / float64(time.Millisecond),
-					ErrorCode:    errCode,
-					Partial:      status == http.StatusPartialContent,
-					ErrorBound:   deg.ErrorBound,
-					ShardsOK:     deg.ShardsOK,
-					ShardsTotal:  deg.ShardsTotal,
-					FailedShards: deg.FailedShards,
-				})
-			}
-		}()
-
-		if r.draining.Load() {
-			status, errCode = http.StatusServiceUnavailable, server.CodeDraining
-			server.WriteError(w, status, errCode, "gateway is draining", time.Second)
+		c, ok := r.frame.Begin(w, req, name, spanName)
+		defer c.End()
+		if !ok {
 			return
 		}
-		budget, err := r.requestBudget(req)
+		budget, err := httpapi.ParseBudget(c.Req, r.cfg.DefaultBudget, r.cfg.MaxBudget)
 		if err != nil {
-			status, errCode = http.StatusBadRequest, server.CodeBadRequest
-			server.WriteError(w, status, errCode, err.Error(), 0)
+			c.Fail(w, asError(err))
 			return
 		}
-		ctx, cancel := context.WithDeadline(req.Context(), r.now().Add(budget))
+		ctx, cancel := context.WithDeadline(c.Req.Context(), r.now().Add(budget))
 		defer cancel()
-		st, v, err := fn(req.WithContext(withBudget(ctx, budget)))
+		st, v, err := fn(c.Req.WithContext(withBudget(ctx, budget)))
 		if err != nil {
-			var ge *gwError
-			switch {
-			case asGwError(err, &ge):
-				status, errCode = ge.status, ge.code
-				server.WriteError(w, ge.status, ge.code, ge.msg, ge.retryAfter)
-			default:
-				status, errCode = http.StatusBadGateway, server.CodeInternal
-				server.WriteError(w, status, errCode, err.Error(), 0)
-			}
+			c.Fail(w, asError(err))
 			return
 		}
-		status = st
+		c.Status = st
+		c.Record.Partial = st == http.StatusPartialContent
 		if dc, ok := v.(degradeCarrier); ok {
-			deg = dc.degradeFields()
+			deg := dc.degradeFields()
+			c.Record.ErrorBound = deg.ErrorBound
+			c.Record.ShardsOK, c.Record.ShardsTotal = deg.ShardsOK, deg.ShardsTotal
+			c.Record.FailedShards = deg.FailedShards
 		}
-		if status == http.StatusPartialContent {
+		if c.Record.Partial {
 			r.mDegraded.Inc()
 			// The merge widened the answer: record how far and why on the root
 			// span, so a 206's trace explains itself.
-			span.Event("degraded",
-				trace.Int("shards_ok", int64(deg.ShardsOK)),
-				trace.Int("shards_total", int64(deg.ShardsTotal)),
-				trace.Float("error_bound", deg.ErrorBound))
+			c.Span.Event("degraded",
+				trace.Int("shards_ok", int64(c.Record.ShardsOK)),
+				trace.Int("shards_total", int64(c.Record.ShardsTotal)),
+				trace.Float("error_bound", c.Record.ErrorBound))
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
+		w.WriteHeader(st)
 		json.NewEncoder(w).Encode(v)
 	})
 }
 
-func asGwError(err error, out **gwError) bool {
-	ge, ok := err.(*gwError)
-	if ok {
-		*out = ge
+// asError maps a handler failure onto the error the gateway answers with:
+// request errors keep their status and code, anything else is a 502.
+func asError(err error) *httpapi.Error {
+	var e *httpapi.Error
+	if errors.As(err, &e) {
+		return e
 	}
-	return ok
+	return &httpapi.Error{Status: http.StatusBadGateway, Code: httpapi.CodeInternal, Msg: err.Error()}
 }
 
 type gwBudgetKey struct{}
@@ -252,24 +151,6 @@ func withBudget(ctx context.Context, b time.Duration) context.Context {
 func budgetOf(ctx context.Context) time.Duration {
 	b, _ := ctx.Value(gwBudgetKey{}).(time.Duration)
 	return b
-}
-
-func (r *Router) requestBudget(req *http.Request) (time.Duration, error) {
-	v := req.URL.Query().Get("budget")
-	if v == "" {
-		return r.cfg.defaultBudget(), nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad budget %q: %v", v, err)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("budget must be positive, got %q", v)
-	}
-	if max := r.cfg.maxBudget(); d > max {
-		d = max
-	}
-	return d, nil
 }
 
 // subQuery rewrites the client query for one shard leg: per-shard node
@@ -297,18 +178,18 @@ func (r *Router) subQuery(req *http.Request, overrides map[string]string) string
 func (r *Router) groupParam(req *http.Request, param string) (map[int][]int64, []int64, error) {
 	raw := req.URL.Query().Get(param)
 	if raw == "" {
-		return nil, nil, gwBadRequest("missing %s parameter (comma-separated node ids)", param)
+		return nil, nil, httpapi.BadRequest("missing %s parameter (comma-separated node ids)", param)
 	}
 	byShard := make(map[int][]int64)
 	var all []int64
 	for _, p := range strings.Split(raw, ",") {
 		id, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
-			return nil, nil, gwBadRequest("bad %s entry %q", param, p)
+			return nil, nil, httpapi.BadRequest("bad %s entry %q", param, p)
 		}
 		shard, ok := r.owner[id]
 		if !ok {
-			return nil, nil, gwNotFound("unknown node %d", id)
+			return nil, nil, httpapi.NotFound("unknown node %d", id)
 		}
 		byShard[shard] = append(byShard[shard], id)
 		all = append(all, id)
@@ -348,19 +229,15 @@ func (r *Router) passThrough(req *http.Request, path string) (int, any, error) {
 	raw := req.PathValue("node")
 	id, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
-		return 0, nil, gwBadRequest("bad node %q", raw)
+		return 0, nil, httpapi.BadRequest("bad node %q", raw)
 	}
 	shard, okOwner := r.owner[id]
 	if !okOwner {
-		return 0, nil, gwNotFound("unknown node %d", id)
+		return 0, nil, httpapi.NotFound("unknown node %d", id)
 	}
 	leg := r.fetchShard(req.Context(), shard, path+r.subQuery(req, nil))
 	if leg.Err != nil {
-		return 0, nil, &gwError{
-			status: http.StatusServiceUnavailable, code: CodeShardUnavailable,
-			msg:        fmt.Sprintf("shard %d unavailable: %v", shard, leg.Err),
-			retryAfter: time.Second,
-		}
+		return 0, nil, shardUnavailable(shard, leg.Err)
 	}
 	return leg.Status, json.RawMessage(leg.Body), nil
 }
@@ -398,11 +275,11 @@ func (r *Router) handleSpread(req *http.Request) (int, any, error) {
 func (r *Router) handleSeeds(req *http.Request) (int, any, error) {
 	raw := req.URL.Query().Get("k")
 	if raw == "" {
-		return 0, nil, gwBadRequest("missing k parameter")
+		return 0, nil, httpapi.BadRequest("missing k parameter")
 	}
 	k, err := strconv.Atoi(raw)
 	if err != nil || k < 1 || k > r.topo.NumNodes {
-		return 0, nil, gwBadRequest("k must be in [1, %d], got %q", r.topo.NumNodes, raw)
+		return 0, nil, httpapi.BadRequest("k must be in [1, %d], got %q", r.topo.NumNodes, raw)
 	}
 	shards := make([]int, len(r.shards))
 	for i := range shards {
@@ -427,12 +304,9 @@ func (r *Router) handleReliability(req *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	threshold := 0.5
-	if raw := req.URL.Query().Get("threshold"); raw != "" {
-		threshold, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return 0, nil, gwBadRequest("bad threshold %q", raw)
-		}
+	threshold, err := httpapi.ParseThreshold(req)
+	if err != nil {
+		return 0, nil, err
 	}
 	shards := sortedShards(byShard)
 	legs := r.scatter(req.Context(), shards, func(s int) string {
@@ -456,11 +330,7 @@ func (r *Router) handleStability(req *http.Request) (int, any, error) {
 		s := shards[0]
 		leg := r.fetchShard(req.Context(), s, "/v1/stability"+r.subQuery(req, map[string]string{"seeds": idList(byShard[s])}))
 		if leg.Err != nil {
-			return 0, nil, &gwError{
-				status: http.StatusServiceUnavailable, code: CodeShardUnavailable,
-				msg:        fmt.Sprintf("shard %d unavailable: %v", s, leg.Err),
-				retryAfter: time.Second,
-			}
+			return 0, nil, shardUnavailable(s, leg.Err)
 		}
 		return leg.Status, json.RawMessage(leg.Body), nil
 	}

@@ -11,10 +11,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"soi/internal/server"
+	"soi/internal/httpapi"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
 )
@@ -105,22 +104,9 @@ func (c Config) mergeGrace() time.Duration {
 	return c.MergeGrace
 }
 
-func (c Config) defaultBudget() time.Duration {
-	if c.DefaultBudget <= 0 {
-		return 2 * time.Second
-	}
-	return c.DefaultBudget
-}
-
-func (c Config) maxBudget() time.Duration {
-	if c.MaxBudget <= 0 {
-		return 30 * time.Second
-	}
-	return c.MaxBudget
-}
-
 // Router fans /v1 queries out to shard replicas and merges the answers.
-// Create with New, then Start to begin health probing; Close stops it.
+// Create with New, then StartProbing to begin health probing; Close stops
+// it. Handler is served through an httpapi.Gate.
 type Router struct {
 	cfg    Config
 	topo   *Topology
@@ -138,10 +124,8 @@ type Router struct {
 	stopOnceGuard  sync.Once
 	started        time.Time
 
-	mux      *http.ServeMux
-	srv      *http.Server
-	done     chan struct{}
-	draining atomic.Bool
+	mux   *http.ServeMux
+	frame httpapi.Frame
 
 	mRequests  *telemetry.Counter
 	mRetries   *telemetry.Counter
@@ -187,6 +171,8 @@ func New(cfg Config) (*Router, error) {
 		rng:       rand.New(rand.NewSource(int64(seed))),
 		probeStop: make(chan struct{}),
 		started:   now(),
+		frame: httpapi.Frame{Service: "soigw", DrainMessage: "gateway is draining",
+			Tracer: cfg.Tracer, Log: cfg.RequestLog},
 
 		mRequests:  tel.Counter("router.requests"),
 		mRetries:   tel.Counter("router.retries"),
@@ -221,7 +207,7 @@ func New(cfg Config) (*Router, error) {
 }
 
 // StartProbing launches the /readyz health probers (unless disabled by a
-// negative ProbeInterval). Idempotent; Start(addr) calls it automatically.
+// negative ProbeInterval). Idempotent.
 func (r *Router) StartProbing() {
 	r.probeOnceGuard.Do(r.startProbing)
 }
@@ -324,9 +310,9 @@ func (a *attemptOut) retryable() bool {
 	if a.status >= 200 && a.status < 300 {
 		return false
 	}
-	var env server.ErrorEnvelope
+	var env httpapi.ErrorEnvelope
 	if err := json.Unmarshal(a.body, &env); err == nil && env.Error.Code != "" {
-		return server.RetryableCode(env.Error.Code)
+		return httpapi.RetryableCode(env.Error.Code)
 	}
 	return a.status >= 500 // 5xx with no envelope: assume transient
 }
@@ -526,7 +512,7 @@ func (r *Router) doGET(ctx context.Context, url string) attemptOut {
 		// retry_after_ms and the standard Retry-After header (which is all a
 		// proxy or non-soi backend in front of a shard can set). Honor
 		// whichever asks for the longer wait.
-		var env server.ErrorEnvelope
+		var env httpapi.ErrorEnvelope
 		if json.Unmarshal(body, &env) == nil && env.Error.RetryAfterMS > 0 {
 			out.retryAfter = time.Duration(env.Error.RetryAfterMS) * time.Millisecond
 		}

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"soi/internal/server"
+	"soi/internal/httpapi"
 	"soi/internal/telemetry"
 )
 
@@ -44,7 +44,7 @@ func TestFetchShardRetriesRetryableEnvelope(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		if calls.Add(1) <= 2 {
-			server.WriteError(w, http.StatusServiceUnavailable, server.CodeOverloaded, "queue full", time.Millisecond)
+			httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeOverloaded, "queue full", time.Millisecond)
 			return
 		}
 		fmt.Fprint(w, `{"spread":1.5}`)
@@ -68,7 +68,7 @@ func TestFetchShardDoesNotRetryPermanentErrors(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		calls.Add(1)
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "bad seeds", 0)
+		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "bad seeds", 0)
 	}))
 	defer ts.Close()
 	r := newTestRouter(t, nil, []string{ts.URL}, []string{ts.URL})
@@ -222,14 +222,14 @@ func TestGatewayRequestValidation(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"/v1/spread?seeds=99", http.StatusNotFound, server.CodeNotFound},   // unknown node
-		{"/v1/spread?seeds=", http.StatusBadRequest, server.CodeBadRequest}, // missing seeds
-		{"/v1/spread?seeds=0&budget=bogus", http.StatusBadRequest, server.CodeBadRequest},
-		{"/v1/seeds", http.StatusBadRequest, server.CodeBadRequest},      // missing k
-		{"/v1/seeds?k=0", http.StatusBadRequest, server.CodeBadRequest},  // k out of range
-		{"/v1/seeds?k=99", http.StatusBadRequest, server.CodeBadRequest}, // k > NumNodes
-		{"/v1/sphere/abc", http.StatusBadRequest, server.CodeBadRequest},
-		{"/v1/sphere/55", http.StatusNotFound, server.CodeNotFound},
+		{"/v1/spread?seeds=99", http.StatusNotFound, httpapi.CodeNotFound},   // unknown node
+		{"/v1/spread?seeds=", http.StatusBadRequest, httpapi.CodeBadRequest}, // missing seeds
+		{"/v1/spread?seeds=0&budget=bogus", http.StatusBadRequest, httpapi.CodeBadRequest},
+		{"/v1/seeds", http.StatusBadRequest, httpapi.CodeBadRequest},      // missing k
+		{"/v1/seeds?k=0", http.StatusBadRequest, httpapi.CodeBadRequest},  // k out of range
+		{"/v1/seeds?k=99", http.StatusBadRequest, httpapi.CodeBadRequest}, // k > NumNodes
+		{"/v1/sphere/abc", http.StatusBadRequest, httpapi.CodeBadRequest},
+		{"/v1/sphere/55", http.StatusNotFound, httpapi.CodeNotFound},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -238,9 +238,38 @@ func TestGatewayRequestValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.url, rec.Code, tc.wantStatus, rec.Body.String())
 			continue
 		}
-		var env server.ErrorEnvelope
+		var env httpapi.ErrorEnvelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != tc.wantCode {
 			t.Errorf("%s: envelope %s, want code %q", tc.url, rec.Body.String(), tc.wantCode)
+		}
+	}
+}
+
+// TestGatewayBadThresholdSparesBreakers: an out-of-range threshold is the
+// client's fault. The gateway rejects it before scattering, so a burst of
+// bad requests larger than BreakerFailures leaves every replica's breaker
+// closed and the next valid query answers 200 from every shard.
+func TestGatewayBadThresholdSparesBreakers(t *testing.T) {
+	rt := startGateway(t, func(c *Config) { c.BreakerFailures = 3 })
+	bad := []string{"0", "-1", "2", "Inf", "NaN", "0", "2"}
+	for _, th := range bad {
+		url := "/v1/reliability?sources=4,9&samples=50&threshold=" + th
+		code, body := gwDo(t, rt, url)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %v", url, code, body)
+		}
+		if e, _ := body["error"].(map[string]any); e["code"] != httpapi.CodeBadRequest {
+			t.Fatalf("%s: envelope %v, want code %q", url, body, httpapi.CodeBadRequest)
+		}
+	}
+	for _, url := range []string{
+		"/v1/reliability?sources=4,9&threshold=0.3&samples=200",
+		"/v1/spread?seeds=4,9",
+	} {
+		code, body := gwDo(t, rt, url)
+		if code != http.StatusOK || body["shards_ok"] != float64(2) || body["shards_total"] != float64(2) {
+			t.Fatalf("%s after bad thresholds: status %d shards_ok %v/%v, want 200 with 2/2",
+				url, code, body["shards_ok"], body["shards_total"])
 		}
 	}
 }
@@ -249,15 +278,15 @@ func TestGatewayDrainingRefusesNewRequests(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	defer ts.Close()
 	r := newTestRouter(t, nil, []string{ts.URL}, []string{ts.URL})
-	r.draining.Store(true)
+	r.Shutdown()
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/spread?seeds=0", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 while draining", rec.Code)
 	}
-	var env server.ErrorEnvelope
-	if json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != server.CodeDraining {
+	var env httpapi.ErrorEnvelope
+	if json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != httpapi.CodeDraining {
 		t.Fatalf("envelope %s, want code draining", rec.Body.String())
 	}
 

@@ -88,62 +88,6 @@ func partialStatus(p partialInfo) int {
 	return 200
 }
 
-// Error codes carried by every non-2xx /v1 response. They are the machine
-// contract: the soigw router decides retryable-vs-permanent from the code,
-// never by matching message strings.
-const (
-	CodeBadRequest = "bad_request"      // malformed request; permanent
-	CodeNotFound   = "not_found"        // unknown node/resource; permanent
-	CodeConflict   = "conflict"         // endpoint needs an artifact the daemon did not load; permanent
-	CodeOverloaded = "overloaded"       // admission queue full; retry after backoff
-	CodeBudget     = "budget_too_small" // budget expired before any result; retry with a larger budget
-	CodeDraining   = "draining"         // daemon is shutting down; fail over to a replica
-	CodeLoading    = "loading"          // daemon is still loading artifacts; retry shortly
-	CodeDegraded   = "degraded"         // index lost every world to quarantine; fail over to a replica
-	CodeCanceled   = "canceled"         // client went away mid-request
-	CodeInternal   = "internal"         // unexpected server-side failure
-)
-
-// RetryableCode reports whether a request that failed with code is worth
-// retrying (possibly against another replica) without changing the request.
-func RetryableCode(code string) bool {
-	switch code {
-	case CodeOverloaded, CodeDraining, CodeLoading, CodeDegraded:
-		return true
-	}
-	return false
-}
-
-// ErrorInfo is the error object inside every non-2xx response body.
-type ErrorInfo struct {
-	// Code is one of the Code* constants.
-	Code string `json:"code"`
-	// Message is human-readable detail; clients must not parse it.
-	Message string `json:"message"`
-	// RetryAfterMS, when non-zero, is the server's backoff hint.
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-}
-
-// ErrorEnvelope is the JSON body of every non-2xx response:
-// {"error":{"code":...,"message":...,"retry_after_ms":...}}.
-type ErrorEnvelope struct {
-	Error ErrorInfo `json:"error"`
-}
-
-// ReadyResponse is the body of GET /readyz on both soid and soigw. It
-// surfaces the loaded artifact fingerprints so a router can verify a replica
-// serves the shard the topology manifest promises before sending it traffic.
-type ReadyResponse struct {
-	Ready  bool   `json:"ready"`
-	Reason string `json:"reason,omitempty"`
-	// GraphFingerprint / IndexFingerprint are %016x of the loaded artifacts;
-	// empty while loading.
-	GraphFingerprint string `json:"graph_fingerprint,omitempty"`
-	IndexFingerprint string `json:"index_fingerprint,omitempty"`
-	SpheresLoaded    bool   `json:"spheres_loaded,omitempty"`
-	SketchLoaded     bool   `json:"sketch_loaded,omitempty"`
-}
-
 // sphereResponse answers GET /v1/sphere/{node}.
 type sphereResponse struct {
 	// Node is the queried node, in original (file) id space.

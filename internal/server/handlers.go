@@ -3,13 +3,13 @@ package server
 import (
 	"errors"
 	"net/http"
-	"strconv"
 	"time"
 
 	"soi/internal/cascade"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
+	"soi/internal/httpapi"
 	"soi/internal/infmax"
 	"soi/internal/reliability"
 	"soi/internal/trace"
@@ -57,13 +57,13 @@ func (s *Server) quarantinePartial(scale float64) (partialInfo, error) {
 	}
 	live := s.x.LiveWorlds()
 	if live == 0 {
-		return partialInfo{}, &apiError{
-			status: http.StatusServiceUnavailable,
-			code:   CodeDegraded,
-			msg:    "index degraded: every world block is quarantined; repair the file with soifsck",
+		return partialInfo{}, &httpapi.Error{
+			Status: http.StatusServiceUnavailable,
+			Code:   httpapi.CodeDegraded,
+			Msg:    "index degraded: every world block is quarantined; repair the file with soifsck",
 			// Retryable 503s carry Retry-After so the gateway's backoff
 			// honoring applies before it fails over to a replica.
-			retryAfter: time.Second,
+			RetryAfter: time.Second,
 		}
 	}
 	return partialInfo{
@@ -85,11 +85,11 @@ func (s *Server) queryEstimator(req *http.Request) (string, error) {
 		return "", nil
 	case "sketch":
 		if s.sketch == nil {
-			return "", conflict("no sketch loaded; estimator=sketch requires soid -sketch")
+			return "", httpapi.Conflict("no sketch loaded; estimator=sketch requires soid -sketch")
 		}
 		return "sketch", nil
 	default:
-		return "", badRequest("bad estimator %q: want dense or sketch", est)
+		return "", httpapi.BadRequest("bad estimator %q: want dense or sketch", est)
 	}
 }
 
@@ -141,11 +141,11 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 		}
 	case "store":
 		if s.spheres == nil {
-			return result{}, conflict("no sphere store loaded; start soid with -spheres or use source=compute")
+			return result{}, httpapi.Conflict("no sphere store loaded; start soid with -spheres or use source=compute")
 		}
 	case "compute":
 	default:
-		return result{}, badRequest("bad source %q: want auto, store, or compute", source)
+		return result{}, httpapi.BadRequest("bad source %q: want auto, store, or compute", source)
 	}
 
 	if source == "store" {
@@ -169,7 +169,7 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 		return result{}, err
 	}
 	if samples < 0 {
-		return result{}, badRequest("samples must be >= 0, got %d", samples)
+		return result{}, httpapi.BadRequest("samples must be >= 0, got %d", samples)
 	}
 
 	sc := s.scratch.Get().(*core.Scratch)
@@ -223,7 +223,7 @@ func (s *Server) handleStability(req *http.Request) (result, error) {
 		return result{}, err
 	}
 	if samples < 1 {
-		return result{}, badRequest("samples must be >= 1, got %d", samples)
+		return result{}, httpapi.BadRequest("samples must be >= 1, got %d", samples)
 	}
 
 	sc := s.scratch.Get().(*core.Scratch)
@@ -271,7 +271,7 @@ func (s *Server) handleSeeds(req *http.Request) (result, error) {
 		return result{}, err
 	}
 	if k < 1 || k > s.g.NumNodes() {
-		return result{}, badRequest("k must be in [1, %d], got %d", s.g.NumNodes(), k)
+		return result{}, httpapi.BadRequest("k must be in [1, %d], got %d", s.g.NumNodes(), k)
 	}
 	if est == "sketch" {
 		gsp := trace.Child(req.Context(), "seeds.sketch_greedy", trace.Int("k", int64(k)))
@@ -294,7 +294,7 @@ func (s *Server) handleSeeds(req *http.Request) (result, error) {
 		}), nil
 	}
 	if s.tcSets == nil {
-		return result{}, conflict("no sphere store loaded; /v1/seeds requires soid -spheres")
+		return result{}, httpapi.Conflict("no sphere store loaded; /v1/seeds requires soid -spheres")
 	}
 	gctx, gsp := trace.StartChild(req.Context(), "seeds.greedy", trace.Int("k", int64(k)))
 	sel, err := infmax.TC(gctx, s.g, s.tcSets, k,
@@ -328,7 +328,7 @@ func (s *Server) handleSpread(req *http.Request) (result, error) {
 	method := req.URL.Query().Get("method")
 	if est == "sketch" {
 		if method != "" && method != "index" {
-			return result{}, badRequest("estimator=sketch answers over the index's worlds; method %q is not compatible", method)
+			return result{}, httpapi.BadRequest("estimator=sketch answers over the index's worlds; method %q is not compatible", method)
 		}
 		ssp := trace.Child(req.Context(), "spread.sketch")
 		spread := s.sketch.EstimateSpread(seeds)
@@ -367,7 +367,7 @@ func (s *Server) handleSpread(req *http.Request) (result, error) {
 			return result{}, err
 		}
 		if trials < 1 {
-			return result{}, badRequest("trials must be >= 1, got %d", trials)
+			return result{}, httpapi.BadRequest("trials must be >= 1, got %d", trials)
 		}
 		// One worker per request: admission control arbitrates cores across
 		// requests; a single query must not monopolize the process.
@@ -391,7 +391,7 @@ func (s *Server) handleSpread(req *http.Request) (result, error) {
 			partialInfo: partialOf(pe, float64(s.g.NumNodes())),
 		}}, nil
 	default:
-		return result{}, badRequest("bad method %q: want index or mc", method)
+		return result{}, httpapi.BadRequest("bad method %q: want index or mc", method)
 	}
 }
 
@@ -403,19 +403,16 @@ func (s *Server) handleReliability(req *http.Request) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	threshold := 0.5
-	if raw := req.URL.Query().Get("threshold"); raw != "" {
-		threshold, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return result{}, badRequest("bad threshold %q", raw)
-		}
+	threshold, err := httpapi.ParseThreshold(req)
+	if err != nil {
+		return result{}, err
 	}
 	samples, err := queryInt(req, "samples", s.cfg.trials())
 	if err != nil {
 		return result{}, err
 	}
 	if samples < 1 {
-		return result{}, badRequest("samples must be >= 1, got %d", samples)
+		return result{}, httpapi.BadRequest("samples must be >= 1, got %d", samples)
 	}
 
 	rctx, rsp := trace.StartChild(req.Context(), "reliability.search",
@@ -450,7 +447,7 @@ func (s *Server) handleModes(req *http.Request) (result, error) {
 		return result{}, err
 	}
 	if k < 1 {
-		return result{}, badRequest("k must be >= 1, got %d", k)
+		return result{}, httpapi.BadRequest("k must be >= 1, got %d", k)
 	}
 	msp := trace.Child(req.Context(), "modes.analyze", trace.Int("k", int64(k)))
 	modes := core.AnalyzeModes(s.x, v, k)

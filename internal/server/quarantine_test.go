@@ -11,6 +11,7 @@ import (
 	"soi/internal/blockfile"
 	"soi/internal/cascade"
 	"soi/internal/graph"
+	"soi/internal/httpapi"
 	"soi/internal/index"
 	"soi/internal/telemetry"
 )
@@ -144,10 +145,10 @@ func TestQuarantineAllWorlds503(t *testing.T) {
 		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body.String())
 	}
 	errObj, _ := body["error"].(map[string]any)
-	if errObj["code"] != CodeDegraded {
-		t.Fatalf("code %v, want %q", errObj["code"], CodeDegraded)
+	if errObj["code"] != httpapi.CodeDegraded {
+		t.Fatalf("code %v, want %q", errObj["code"], httpapi.CodeDegraded)
 	}
-	if !RetryableCode(CodeDegraded) {
+	if !httpapi.RetryableCode(httpapi.CodeDegraded) {
 		t.Fatal("degraded must be retryable so the gateway fails over")
 	}
 	// Every retryable 503 must carry a backoff hint in both forms, so the

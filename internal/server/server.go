@@ -4,23 +4,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/fault"
 	"soi/internal/graph"
+	"soi/internal/httpapi"
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/sketch"
@@ -114,20 +111,6 @@ func (c Config) maxQueue() int {
 	return c.MaxQueue
 }
 
-func (c Config) defaultBudget() time.Duration {
-	if c.DefaultBudget <= 0 {
-		return 2 * time.Second
-	}
-	return c.DefaultBudget
-}
-
-func (c Config) maxBudget() time.Duration {
-	if c.MaxBudget <= 0 {
-		return 30 * time.Second
-	}
-	return c.MaxBudget
-}
-
 func (c Config) costSamples() int {
 	if c.CostSamples <= 0 {
 		return 200
@@ -165,11 +148,9 @@ type Server struct {
 	adm     *admission
 	scratch sync.Pool // *core.Scratch
 
-	mux      *http.ServeMux
-	srv      *http.Server
-	done     chan struct{}
-	draining atomic.Bool
-	started  time.Time
+	mux     *http.ServeMux
+	frame   httpapi.Frame
+	started time.Time
 
 	mRequests *telemetry.Counter
 	mPartials *telemetry.Counter
@@ -235,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 		cache:   newLRUCache(cfg.cacheSize(), tel),
 		flights: newFlightGroup(tel),
 		adm:     newAdmission(cfg.maxInflight(), cfg.maxQueue(), tel),
-		done:    make(chan struct{}),
 		started: time.Now(),
 
 		mRequests: tel.Counter("server.requests"),
@@ -247,6 +227,8 @@ func New(cfg Config) (*Server, error) {
 		mByName:   make(map[string]*telemetry.Counter, len(endpointNames)),
 	}
 	s.fpHex = fmt.Sprintf("%016x", s.indexFP)
+	s.frame = httpapi.Frame{Service: "soid", DrainMessage: "server is draining",
+		Tracer: cfg.Tracer, Log: cfg.RequestLog}
 	for _, name := range endpointNames {
 		s.mLatency[name] = tel.Histogram("server.latency_ns." + name)
 		s.mByName[name] = tel.Counter("server.req." + name)
@@ -280,37 +262,27 @@ func (s *Server) fingerprints() (graph, index string) {
 // IndexFingerprint returns the content fingerprint of the loaded index.
 func (s *Server) IndexFingerprint() uint64 { return s.indexFP }
 
-// Handler returns the serving mux: the /v1 API, /healthz, and the debug
-// endpoints (/metrics, /debug/vars, /debug/pprof/...) on the same mux.
+// Handler returns the serving mux: the /v1 API, /readyz, and the
+// httpapi.Mount surface (/healthz, /metrics, /debug/...) on the same mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
-	// Liveness: the process is up and able to answer. Stays 200 while
-	// draining — a draining daemon is alive, and restarting it would abort
-	// the drain. Readiness (should this replica receive traffic?) is /readyz.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	httpapi.Mount(mux, s.cfg.Telemetry, s.cfg.Tracer)
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		graphFP, indexFP := s.fingerprints()
-		resp := ReadyResponse{
+		resp := httpapi.ReadyResponse{
 			Ready:            true,
 			GraphFingerprint: graphFP,
 			IndexFingerprint: indexFP,
 			SpheresLoaded:    s.spheres != nil,
 			SketchLoaded:     s.sketch != nil,
 		}
-		status := http.StatusOK
-		if s.draining.Load() {
+		if s.frame.Draining() {
 			resp.Ready = false
 			resp.Reason = "draining"
-			status = http.StatusServiceUnavailable
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(resp)
+		httpapi.WriteReady(w, resp)
 	})
 	mux.Handle("GET /v1/info", s.endpoint("info", false, s.handleInfo))
 	mux.Handle("GET /v1/sphere/{node}", s.endpoint("sphere", true, s.handleSphere))
@@ -319,57 +291,13 @@ func (s *Server) buildMux() {
 	mux.Handle("GET /v1/spread", s.endpoint("spread", true, s.handleSpread))
 	mux.Handle("GET /v1/reliability", s.endpoint("reliability", true, s.handleReliability))
 	mux.Handle("GET /v1/modes/{node}", s.endpoint("modes", true, s.handleModes))
-
-	// The -debug-addr surface of the CLIs, mounted on the serving mux: one
-	// listener serves queries and their own observability.
-	mux.Handle("GET /metrics", s.cfg.Telemetry.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	// Retained traces: the list view and the full soi.trace/v1 span tree.
-	// With a nil tracer these answer 404 "tracing disabled".
-	mux.Handle("GET /debug/traces", s.cfg.Tracer.Handler("/debug/traces"))
-	mux.Handle("GET /debug/traces/", s.cfg.Tracer.Handler("/debug/traces"))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// Remote fault injection for cross-process chaos harnesses: only mounted
-	// behind the SOI_FAILPOINTS_HTTP env gate — a production daemon must
-	// never expose this by accident.
-	if fault.HTTPEnabled() {
-		mux.Handle("/debug/failpoints", fault.Handler())
-	}
 	s.mux = mux
 }
 
-// Start binds addr (":0" for ephemeral) and serves until Shutdown. It
-// returns the resolved listen address once the listener is bound.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		defer close(s.done)
-		_ = s.srv.Serve(ln) // ErrServerClosed on Shutdown is the normal path
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Shutdown drains gracefully: new requests are refused with 503 while
-// requests already admitted run to completion (bounded by ctx). Safe to call
-// without Start (tests driving Handler directly); then it only flips the
-// drain flag.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	if s.srv == nil {
-		return nil
-	}
-	err := s.srv.Shutdown(ctx)
-	<-s.done
-	return err
-}
+// Shutdown starts the drain: new requests are refused with 503 draining and
+// /readyz goes not-ready, while requests already admitted run to
+// completion. The listener (httpapi.Gate) waits for them.
+func (s *Server) Shutdown() { s.frame.Drain() }
 
 // result is a handler's outcome before marshaling: an HTTP status (200 or
 // 206) and the response value.
@@ -380,31 +308,6 @@ type result struct {
 
 func ok(v any) result { return result{status: http.StatusOK, v: v} }
 
-// apiError is a handler-raised client error with a definite status and
-// machine-readable code. retryAfter, when non-zero, becomes the response's
-// Retry-After header and retry_after_ms hint — every retryable 503 must
-// carry one so the gateway's Retry-After honoring applies.
-type apiError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: CodeBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func notFound(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusNotFound, code: CodeNotFound, msg: fmt.Sprintf(format, args...)}
-}
-
-func conflict(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusConflict, code: CodeConflict, msg: fmt.Sprintf(format, args...)}
-}
-
 // budgetGrace is added to the request budget to form the hard context
 // deadline: the Budget machinery degrades sampling gracefully at the budget
 // instant, while the context kills runaway non-sampling work (greedy rounds,
@@ -412,61 +315,25 @@ func conflict(format string, args ...any) *apiError {
 // ctx.Err() before the first sample and turn every 206 into a 503.
 const budgetGrace = 5 * time.Second
 
-// endpoint wraps a handler with the serving pipeline: tracing, metrics,
-// drain check, cache, budget, singleflight, admission, and error mapping.
+// endpoint wraps a handler with the serving pipeline inside the shared
+// request frame: metrics, cache, budget, singleflight, admission, and error
+// mapping.
 func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (result, error)) http.Handler {
 	spanName := "soid." + name
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
 		s.mRequests.Inc()
 		s.mByName[name].Inc()
-
-		// Root-or-continued span: a bare client request roots a fresh trace;
-		// a gateway leg carrying traceparent joins the gateway's trace. The
-		// trace id is echoed as X-SOI-Request-ID so the client can quote it
-		// at /debug/traces/{id}.
-		rctx, span := s.cfg.Tracer.StartRequest(req, spanName,
-			trace.String("endpoint", name), trace.String("path", req.URL.Path))
-		if span != nil {
-			req = req.WithContext(rctx)
-			w.Header().Set(trace.RequestIDHeader, span.RequestID())
-		}
-
-		status := http.StatusOK
-		errCode := ""
-		cacheState := ""
-		var pi partialInfo
+		c, ok := s.frame.Begin(w, req, name, spanName)
 		defer func() {
-			dur := time.Since(start)
-			s.mLatency[name].ObserveExemplar(dur.Nanoseconds(), span.RequestID())
-			span.SetHTTPStatus(status)
-			if errCode != "" {
-				span.SetError(errCode)
-			}
-			span.End()
-			if s.cfg.RequestLog != nil {
-				s.cfg.RequestLog.Log(trace.RequestRecord{
-					Service:    "soid",
-					TraceID:    span.RequestID(),
-					Endpoint:   name,
-					Path:       req.URL.RequestURI(),
-					Status:     status,
-					DurationMS: float64(dur) / float64(time.Millisecond),
-					Cache:      cacheState,
-					ErrorCode:  errCode,
-					Partial:    pi.Partial,
-					Achieved:   pi.Achieved,
-					Requested:  pi.Requested,
-					ErrorBound: pi.ErrorBound,
-				})
+			s.mLatency[name].ObserveExemplar(c.End().Nanoseconds(), c.Span.RequestID())
+			if c.Status >= 400 && c.Status != http.StatusTooManyRequests {
+				s.mErrors.Inc()
 			}
 		}()
-
-		if s.draining.Load() {
-			status, errCode = http.StatusServiceUnavailable, CodeDraining
-			s.writeError(w, status, errCode, "server is draining", time.Second)
+		if !ok {
 			return
 		}
+		req = c.Req
 
 		key := ""
 		useCache := cacheable && s.cfg.cacheSize() > 0
@@ -477,20 +344,20 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 			lspan.SetAttrs(trace.Bool("hit", hit))
 			lspan.End()
 			if hit {
-				status, pi, cacheState = ent.status, ent.partial, "hit"
+				c.Status, c.Record.Cache = ent.status, "hit"
+				ent.partial.logTo(&c.Record)
 				writeCached(w, ent, true)
 				return
 			}
-			cacheState = "miss"
+			c.Record.Cache = "miss"
 		}
 
-		budget, err := s.requestBudget(req)
+		budget, err := httpapi.ParseBudget(req, s.cfg.DefaultBudget, s.cfg.MaxBudget)
 		if err != nil {
-			status, errCode = http.StatusBadRequest, CodeBadRequest
-			s.writeError(w, status, errCode, err.Error(), 0)
+			c.Fail(w, s.mapError(err))
 			return
 		}
-		deadline := start.Add(budget)
+		deadline := c.Start.Add(budget)
 		ctx, cancel := context.WithDeadline(req.Context(), deadline.Add(budgetGrace))
 		defer cancel()
 		req = req.WithContext(withBudgetDeadline(ctx, deadline))
@@ -534,21 +401,23 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 			fspan.SetAttrs(trace.Bool("shared", shared))
 			fspan.End()
 			if shared {
-				cacheState = "shared"
+				c.Record.Cache = "shared"
 			}
 		} else {
 			ent, err = compute()
 		}
 		if err != nil {
-			status, errCode = s.writeMappedError(w, err)
+			c.Fail(w, s.mapError(err))
 			return
 		}
-		status, pi = ent.status, ent.partial
+		c.Status = ent.status
+		ent.partial.logTo(&c.Record)
 		if ent.status == http.StatusPartialContent {
 			s.mPartials.Inc()
+			pi := ent.partial
 			// The degradation event ties the 206 to its cause: how much
 			// sampling the budget bought and how many worlds quarantine took.
-			span.Event("degraded",
+			c.Span.Event("degraded",
 				trace.Int("achieved", int64(pi.Achieved)),
 				trace.Int("requested", int64(pi.Requested)),
 				trace.Float("error_bound", pi.ErrorBound),
@@ -565,6 +434,11 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 	})
 }
 
+// logTo copies the annotation's accuracy facts into a request-log record.
+func (p partialInfo) logTo(rec *trace.RequestRecord) {
+	rec.Partial, rec.Achieved, rec.Requested, rec.ErrorBound = p.Partial, p.Achieved, p.Requested, p.ErrorBound
+}
+
 func writeCached(w http.ResponseWriter, ent *cached, hit bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if hit {
@@ -576,52 +450,25 @@ func writeCached(w http.ResponseWriter, ent *cached, hit bool) {
 	w.Write(ent.body)
 }
 
-// writeMappedError maps err onto the /v1 error envelope and returns the
-// (status, code) it wrote, for the request's span and log line.
-func (s *Server) writeMappedError(w http.ResponseWriter, err error) (int, string) {
-	var ae *apiError
+// mapError maps a request's failure onto the /v1 error it answers with.
+func (s *Server) mapError(err error) *httpapi.Error {
+	var e *httpapi.Error
 	switch {
-	case errors.As(err, &ae):
-		s.writeError(w, ae.status, ae.code, ae.msg, ae.retryAfter)
-		return ae.status, ae.code
+	case errors.As(err, &e):
+		return e
 	case errors.Is(err, errOverload):
 		s.mRejected.Inc()
-		s.writeError(w, http.StatusTooManyRequests, CodeOverloaded, err.Error(), time.Second)
-		return http.StatusTooManyRequests, CodeOverloaded
+		return &httpapi.Error{Status: http.StatusTooManyRequests, Code: httpapi.CodeOverloaded,
+			Msg: err.Error(), RetryAfter: time.Second}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, checkpoint.ErrDeadline):
-		s.writeError(w, http.StatusServiceUnavailable, CodeBudget,
-			"request budget too small to produce a result; retry with a larger budget", time.Second)
-		return http.StatusServiceUnavailable, CodeBudget
+		return &httpapi.Error{Status: http.StatusServiceUnavailable, Code: httpapi.CodeBudget,
+			Msg: "request budget too small to produce a result; retry with a larger budget", RetryAfter: time.Second}
 	case errors.Is(err, context.Canceled):
 		// Client went away; status code is a formality.
-		s.writeError(w, http.StatusServiceUnavailable, CodeCanceled, "request canceled", 0)
-		return http.StatusServiceUnavailable, CodeCanceled
+		return &httpapi.Error{Status: http.StatusServiceUnavailable, Code: httpapi.CodeCanceled, Msg: "request canceled"}
 	default:
-		s.writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
-		return http.StatusInternalServerError, CodeInternal
+		return &httpapi.Error{Status: http.StatusInternalServerError, Code: httpapi.CodeInternal, Msg: err.Error()}
 	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	if status >= 400 && status != http.StatusTooManyRequests {
-		s.mErrors.Inc()
-	}
-	WriteError(w, status, code, msg, retryAfter)
-}
-
-// WriteError writes the standard /v1 error envelope. Exported so the soigw
-// gateway (and the loading Gate) emit byte-compatible errors.
-func WriteError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorInfo{
-		Code:         code,
-		Message:      msg,
-		RetryAfterMS: retryAfter.Milliseconds(),
-	}})
 }
 
 // cacheKey canonicalizes the request into a cache key: endpoint, path (which
@@ -657,26 +504,6 @@ func (s *Server) cacheKey(name string, req *http.Request) string {
 	b.WriteByte('#')
 	b.WriteString(s.fpHex)
 	return b.String()
-}
-
-// requestBudget parses the budget parameter (a Go duration), applying the
-// configured default and cap.
-func (s *Server) requestBudget(req *http.Request) (time.Duration, error) {
-	v := req.URL.Query().Get("budget")
-	if v == "" {
-		return s.cfg.defaultBudget(), nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad budget %q: %v", v, err)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("budget must be positive, got %q", v)
-	}
-	if max := s.cfg.maxBudget(); d > max {
-		d = max
-	}
-	return d, nil
 }
 
 // budgetKey carries the sampling deadline (as opposed to the hard context
@@ -728,11 +555,11 @@ func (s *Server) pathNode(req *http.Request) (graph.NodeID, error) {
 	raw := req.PathValue("node")
 	id, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
-		return 0, badRequest("bad node %q", raw)
+		return 0, httpapi.BadRequest("bad node %q", raw)
 	}
 	v, ok := s.dense(id)
 	if !ok {
-		return 0, notFound("unknown node %d", id)
+		return 0, httpapi.NotFound("unknown node %d", id)
 	}
 	return v, nil
 }
@@ -741,18 +568,18 @@ func (s *Server) pathNode(req *http.Request) (graph.NodeID, error) {
 func (s *Server) queryNodes(req *http.Request, param string) ([]graph.NodeID, error) {
 	raw := req.URL.Query().Get(param)
 	if raw == "" {
-		return nil, badRequest("missing %s parameter (comma-separated node ids)", param)
+		return nil, httpapi.BadRequest("missing %s parameter (comma-separated node ids)", param)
 	}
 	parts := strings.Split(raw, ",")
 	out := make([]graph.NodeID, 0, len(parts))
 	for _, p := range parts {
 		id, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
-			return nil, badRequest("bad %s entry %q", param, p)
+			return nil, httpapi.BadRequest("bad %s entry %q", param, p)
 		}
 		v, ok := s.dense(id)
 		if !ok {
-			return nil, notFound("unknown node %d", id)
+			return nil, httpapi.NotFound("unknown node %d", id)
 		}
 		out = append(out, v)
 	}
@@ -766,7 +593,7 @@ func queryInt(req *http.Request, param string, def int) (int, error) {
 	}
 	n, err := strconv.Atoi(raw)
 	if err != nil {
-		return 0, badRequest("bad %s %q", param, raw)
+		return 0, httpapi.BadRequest("bad %s %q", param, raw)
 	}
 	return n, nil
 }

@@ -15,6 +15,7 @@ import (
 	"soi/internal/core"
 	"soi/internal/fault"
 	"soi/internal/graph"
+	"soi/internal/httpapi"
 	"soi/internal/index"
 	"soi/internal/telemetry"
 )
@@ -176,6 +177,13 @@ func TestNodeErrors(t *testing.T) {
 		{"/v1/seeds?k=0", 400},
 		{"/v1/spread?seeds=1&method=bogus", 400},
 		{"/v1/reliability?sources=1&threshold=abc", 400},
+		// Out-of-range thresholds are the client's fault, not a 500 that a
+		// gateway would count against this replica's breaker.
+		{"/v1/reliability?sources=1&threshold=0", 400},
+		{"/v1/reliability?sources=1&threshold=-1", 400},
+		{"/v1/reliability?sources=1&threshold=2", 400},
+		{"/v1/reliability?sources=1&threshold=Inf", 400},
+		{"/v1/reliability?sources=1&threshold=NaN", 400},
 		{"/v1/modes/99999", 404},
 	} {
 		rec, body := do(t, s, tc.url)
@@ -186,9 +194,9 @@ func TestNodeErrors(t *testing.T) {
 		if msg == "" {
 			t.Errorf("GET %s: no error message", tc.url)
 		}
-		want := CodeBadRequest
+		want := httpapi.CodeBadRequest
 		if tc.code == 404 {
-			want = CodeNotFound
+			want = httpapi.CodeNotFound
 		}
 		if code != want {
 			t.Errorf("GET %s: error code %q, want %q", tc.url, code, want)
@@ -428,13 +436,13 @@ func TestOverload429(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	code, msg := envelope(t, body)
-	if code != CodeOverloaded {
-		t.Fatalf("error code %q, want %q", code, CodeOverloaded)
+	if code != httpapi.CodeOverloaded {
+		t.Fatalf("error code %q, want %q", code, httpapi.CodeOverloaded)
 	}
 	if !strings.Contains(msg, "overload") {
 		t.Fatalf("error %v, want overload mention", msg)
 	}
-	if !RetryableCode(code) {
+	if !httpapi.RetryableCode(code) {
 		t.Fatal("overloaded must be a retryable code")
 	}
 	if code := <-slow; code != 200 {
@@ -513,12 +521,17 @@ func TestLoadSmoke64Clients(t *testing.T) {
 	}
 }
 
+// TestGracefulDrain drives the shutdown soid runs: the Gate serves the
+// Server's handler, Shutdown drains the Server, then the Gate waits for the
+// in-flight request before closing its listener.
 func TestGracefulDrain(t *testing.T) {
 	s := newTestServer(t, nil)
-	addr, err := s.Start("127.0.0.1:0")
+	gate := httpapi.NewGate()
+	addr, err := gate.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.Ready(s.Handler())
 	fault.SetActive(true)
 	defer fault.SetActive(false)
 	if err := fault.Enable(fault.ServerCompute, fault.Failpoint{
@@ -544,14 +557,15 @@ func TestGracefulDrain(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		done <- s.Shutdown(ctx)
+		s.Shutdown()
+		done <- gate.Shutdown(ctx)
 	}()
 
 	if code := <-slow; code != 200 {
 		t.Fatalf("in-flight request during drain got %d, want 200", code)
 	}
 	if err := <-done; err != nil {
-		t.Fatalf("Shutdown: %v", err)
+		t.Fatalf("gate Shutdown: %v", err)
 	}
 	// The listener is closed; new connections must fail.
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
@@ -563,8 +577,8 @@ func TestGracefulDrain(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("drained handler status %d, want 503", rec.Code)
 	}
-	if code, _ := envelope(t, body); code != CodeDraining {
-		t.Fatalf("drained handler code %q, want %q", code, CodeDraining)
+	if code, _ := envelope(t, body); code != httpapi.CodeDraining {
+		t.Fatalf("drained handler code %q, want %q", code, httpapi.CodeDraining)
 	}
 	// Liveness stays green while draining — restarting a draining process
 	// would abort the drain; readiness is what flips.
@@ -603,7 +617,7 @@ func TestReadyzSurfacesFingerprints(t *testing.T) {
 // liveness 200 / readiness 503 "loading" before artifacts load, then serves
 // the real handler after Ready.
 func TestGateLoadingToReady(t *testing.T) {
-	g := NewGate()
+	g := httpapi.NewGate()
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != http.StatusOK {
@@ -614,7 +628,7 @@ func TestGateLoadingToReady(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("loading readyz status %d, want 503", rec.Code)
 	}
-	var ready ReadyResponse
+	var ready httpapi.ReadyResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &ready); err != nil || ready.Ready || ready.Reason != "loading" {
 		t.Fatalf("loading readyz body %s (err %v), want ready=false reason=loading", rec.Body.String(), err)
 	}
@@ -623,11 +637,11 @@ func TestGateLoadingToReady(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("loading query status %d, want 503", rec.Code)
 	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != CodeLoading {
-		t.Fatalf("loading query body %s (err %v), want code %q", rec.Body.String(), err, CodeLoading)
+	var env httpapi.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != httpapi.CodeLoading {
+		t.Fatalf("loading query body %s (err %v), want code %q", rec.Body.String(), err, httpapi.CodeLoading)
 	}
-	if !RetryableCode(env.Error.Code) {
+	if !httpapi.RetryableCode(env.Error.Code) {
 		t.Fatal("loading must be a retryable code")
 	}
 

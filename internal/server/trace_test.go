@@ -2,14 +2,13 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
+	"soi/internal/httpapi"
 	"soi/internal/trace"
 )
 
@@ -199,7 +198,7 @@ func TestTraceErrorRetained(t *testing.T) {
 	if tj.Retained != "error" {
 		t.Fatalf("retained = %q, want error", tj.Retained)
 	}
-	if tj.Spans[0].Error != CodeNotFound || tj.Spans[0].HTTPStatus != 404 {
+	if tj.Spans[0].Error != httpapi.CodeNotFound || tj.Spans[0].HTTPStatus != 404 {
 		t.Fatalf("root = %+v", tj.Spans[0])
 	}
 }
@@ -243,11 +242,7 @@ func TestTracingDisabledByDefault(t *testing.T) {
 // Retry-After header and the retry_after_ms hint.
 func TestRetryAfterOnDrain503(t *testing.T) {
 	s := newTestServer(t, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	s.Shutdown()
 	rec, body := do(t, s, "/v1/sphere/1")
 	if rec.Code != 503 {
 		t.Fatalf("status %d, want 503", rec.Code)
@@ -256,7 +251,7 @@ func TestRetryAfterOnDrain503(t *testing.T) {
 		t.Fatal("drain 503 missing Retry-After header")
 	}
 	errObj := body["error"].(map[string]any)
-	if errObj["code"] != CodeDraining || errObj["retry_after_ms"].(float64) <= 0 {
+	if errObj["code"] != httpapi.CodeDraining || errObj["retry_after_ms"].(float64) <= 0 {
 		t.Fatalf("drain envelope = %v", errObj)
 	}
 }

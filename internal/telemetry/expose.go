@@ -121,6 +121,17 @@ func (f *expvarFunc) String() string {
 	return strings.TrimSuffix(string(b), "\n")
 }
 
+// MountDebug mounts expvar (GET /debug/vars) and the full net/http/pprof
+// suite (/debug/pprof/...) on mux.
+func MountDebug(mux *http.ServeMux) {
+	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
 // DebugServer is a running debug HTTP endpoint; see Serve.
 type DebugServer struct {
 	Addr string // actual listen address (resolves ":0")
@@ -145,12 +156,7 @@ func Serve(addr string, r *Registry) (*DebugServer, error) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	MountDebug(mux)
 	ds := &DebugServer{
 		Addr: ln.Addr().String(),
 		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second},
