@@ -40,17 +40,16 @@ bench-json:
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/infmax ; } \
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
-# Short fuzz runs over every binary-format decoder (graph TSV, index v02,
-# checkpoint SOICKP01). Each gets its own `go test` invocation because -fuzz
-# accepts a single target per run. FUZZTIME is per decoder.
+# Short fuzz runs over every decoder: the graph TSV reader, and FuzzArtifact,
+# which covers all four blockfile artifacts (index, sphere store, sketch,
+# checkpoint) through soifsck's verify path and each kind's strict reader.
+# Each gets its own `go test` invocation because -fuzz accepts a single
+# target per run. FUZZTIME is per target.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadTSV -fuzztime=$(FUZZTIME) ./internal/graph
-	$(GO) test -run=^$$ -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/index
-	$(GO) test -run=^$$ -fuzz='^FuzzReadV03$$' -fuzztime=$(FUZZTIME) ./internal/index
-	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/checkpoint
-	$(GO) test -run=^$$ -fuzz=FuzzReadSketch -fuzztime=$(FUZZTIME) ./internal/sketch
+	$(GO) test -run=^$$ -fuzz=FuzzArtifact -fuzztime=$(FUZZTIME) ./cmd/soifsck
 
 # End-to-end serving smoke: build soid, start it on an ephemeral port
 # against a tiny dataset, run a scripted client session (incl. a forced 206
@@ -80,7 +79,7 @@ fsck-smoke:
 trace-smoke:
 	./scripts/trace-smoke.sh
 
-# Sketch-estimation smoke: build an index and a SOISKC01 sketch with sphere,
+# Sketch-estimation smoke: build an index and a SOISKC02 sketch with sphere,
 # serve both with soid, query /v1/{spread,sphere,seeds} with estimator=sketch,
 # and assert every sketch answer lands within its own reported error_bound of
 # the dense index answer.

@@ -25,8 +25,8 @@
 // near-instant and resident memory tracks the touched worlds. Corrupt blocks
 // are quarantined rather than fatal — queries keep answering over the
 // surviving worlds with HTTP 206 and a widened error bound until the file is
-// repaired with soifsck. -mmap requires a v03 index file (rebuild older
-// files with: sphere -graph g.tsv -index old.idx -build-index new.idx).
+// repaired with soifsck. Index files from before the SOIIDX03 container do
+// not load in either mode; rebuild them with sphere -build-index.
 //
 // Exit codes: 0 clean shutdown, 1 startup or serving errors.
 package main
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"soi"
-	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/httpapi"
@@ -76,7 +75,7 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "server sampling seed (fixed so identical queries are cacheable)")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		statsJSON   = flag.String("stats-json", "", "write the machine-readable run report to this file on exit")
-		tflags      cliutil.TraceFlags
+		tflags      httpapi.TraceFlags
 	)
 	tflags.Register(flag.CommandLine)
 	flag.Parse()
@@ -92,7 +91,7 @@ func main() {
 func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, mmapIdx bool,
 	addr, addrFile, expectFP string, cacheSize, maxInflight, maxQueue int,
 	defBudget, maxBudget time.Duration, costSamples, trials int, seed uint64,
-	drain time.Duration, statsJSON string, tflags cliutil.TraceFlags) error {
+	drain time.Duration, statsJSON string, tflags httpapi.TraceFlags) error {
 	if graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
@@ -111,7 +110,7 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 	if err != nil {
 		return err
 	}
-	if err := cliutil.WriteAddrFile(addrFile, resolved); err != nil {
+	if err := httpapi.WriteAddrFile(addrFile, resolved); err != nil {
 		return err
 	}
 	log.Printf("listening on http://%s (loading artifacts)", resolved)
@@ -233,7 +232,7 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 	defer cancel()
 	srv.Shutdown()
 	err = gate.Shutdown(ctx)
-	cliutil.WriteReport("soid", statsJSON, tel.Report())
+	httpapi.WriteReport("soid", statsJSON, tel.Report())
 	if err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"soi/internal/cliutil"
+	"soi/internal/httpapi"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -29,7 +29,7 @@ func writeTestGraph(t *testing.T) string {
 
 func TestRunRequiresGraph(t *testing.T) {
 	err := run("", "", "", "", 10, false, false, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+		time.Second, time.Second, 10, 10, 1, time.Second, "", httpapi.TraceFlags{})
 	if err == nil || !strings.Contains(err.Error(), "-graph") {
 		t.Fatalf("err %v, want -graph requirement", err)
 	}
@@ -38,7 +38,7 @@ func TestRunRequiresGraph(t *testing.T) {
 func TestRunMmapRequiresIndex(t *testing.T) {
 	g := writeTestGraph(t)
 	err := run(g, "", "", "", 10, false, true, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+		time.Second, time.Second, 10, 10, 1, time.Second, "", httpapi.TraceFlags{})
 	if err == nil || !strings.Contains(err.Error(), "-index") {
 		t.Fatalf("err %v, want -mmap/-index requirement", err)
 	}
@@ -47,12 +47,12 @@ func TestRunMmapRequiresIndex(t *testing.T) {
 func TestRunRejectsBadFingerprint(t *testing.T) {
 	g := writeTestGraph(t)
 	err := run(g, "", "", "", 10, false, false, ":0", "", "zzz", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+		time.Second, time.Second, 10, 10, 1, time.Second, "", httpapi.TraceFlags{})
 	if err == nil || !strings.Contains(err.Error(), "expect-fp") {
 		t.Fatalf("err %v, want bad -expect-fp", err)
 	}
 	err = run(g, "", "", "", 10, false, false, ":0", "", "deadbeef", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+		time.Second, time.Second, 10, 10, 1, time.Second, "", httpapi.TraceFlags{})
 	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("err %v, want fingerprint mismatch", err)
 	}
@@ -61,12 +61,12 @@ func TestRunRejectsBadFingerprint(t *testing.T) {
 func TestRunRejectsMissingArtifacts(t *testing.T) {
 	g := writeTestGraph(t)
 	err := run(g, filepath.Join(t.TempDir(), "nope.idx"), "", "", 10, false, false, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+		time.Second, time.Second, 10, 10, 1, time.Second, "", httpapi.TraceFlags{})
 	if err == nil || !strings.Contains(err.Error(), "loading index") {
 		t.Fatalf("err %v, want index load failure", err)
 	}
 	err = run(g, "", filepath.Join(t.TempDir(), "nope.tsv"), "", 10, false, false, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+		time.Second, time.Second, 10, 10, 1, time.Second, "", httpapi.TraceFlags{})
 	if err == nil || !strings.Contains(err.Error(), "sphere store") {
 		t.Fatalf("err %v, want sphere store load failure", err)
 	}
@@ -81,7 +81,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(g, "", "", "", 30, false, false, "127.0.0.1:0", addrFile, "", 0, 0, 0,
-			time.Second, time.Second, 10, 10, 1, 5*time.Second, "", cliutil.TraceFlags{})
+			time.Second, time.Second, 10, 10, 1, 5*time.Second, "", httpapi.TraceFlags{})
 	}()
 
 	var addr string

@@ -1,28 +1,28 @@
-// Command soifsck verifies and repairs soi on-disk artifacts: cascade index
-// files (SOIIDX01–03, from sphere -build-index) and sphere stores
-// (SOISPH01/02, from sphere -all -store). The format is detected from the
-// file's magic.
-//
-// Verification is exhaustive: for a v03 index every world block is checked
-// independently (directory geometry, per-block CRC32-C, structural decode,
-// whole-file footer), so one pass lists every bad block rather than stopping
-// at the first. Repair keeps what verifies and rewrites a clean v03 file:
+// Command soifsck verifies and repairs soi's on-disk artifacts: cascade
+// indexes (SOIIDX03, from sphere -build-index), sphere stores (SOISPH03,
+// from sphere -all -store), sketches (SOISKC02, from sphere -sketch-out) and
+// checkpoints (SOICKP02, from any -checkpoint run). All four are blockfile
+// containers, so one path covers them: the kind is picked from the file's
+// magic, then the header, the directory, every block (CRC32-C and the
+// kind's structural decode), the whole-file footer and trailing bytes are
+// checked, and one pass lists every bad block rather than stopping at the
+// first:
 //
 //	soifsck idx.bin                  # verify, summarize
-//	soifsck -v idx.bin               # ... with one line per world block
+//	soifsck -v idx.bin               # ... with one line per block
 //	soifsck -repair fixed.bin idx.bin
 //
-// A repaired index has fewer worlds than the original (the corrupt blocks
-// are dropped); estimates over it carry correspondingly wider error bounds.
-// Legacy v01/v02 indexes have no block directory, so only the parseable
-// prefix of records is recoverable; repair also upgrades them to v03. For
-// sphere stores, repair recovers payloads whose single trailing checksum is
-// bad (flipped footer, trailing garbage, v01 upgrade); payload corruption
-// requires a rebuild.
+// Repair copies every block that verifies into a fresh container. Index
+// worlds are independent samples, so a repaired index drops its corrupt
+// worlds and keeps the rest; estimates over it carry correspondingly wider
+// error bounds. The other kinds need every block, so repair fixes only
+// footer and trailing-byte damage; a corrupt block means a rebuild. Files
+// in retired formats (SOIIDX01/02, SOISPH01/02, SOISKC01, SOICKP01) are
+// reported with the command that rebuilds them.
 //
 // Exit codes: 0 every file verified clean, 1 corruption was found (repair
 // may still have succeeded), 2 a file could not be checked or repaired at
-// all (I/O error, unrecognized format, bad usage).
+// all (I/O error, unrecognized or retired format, bad usage).
 package main
 
 import (
@@ -31,14 +31,20 @@ import (
 	"log"
 	"os"
 
+	"soi/internal/blockfile"
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/index"
+	"soi/internal/sketch"
 )
+
+// kinds are the artifact kinds soifsck recognizes, dispatched on magic.
+var kinds = []*blockfile.Kind{index.Artifact, core.SphereArtifact, sketch.Artifact, checkpoint.Artifact}
 
 func main() {
 	var (
 		repair  = flag.String("repair", "", "write a repaired copy of FILE to this path (exactly one FILE)")
-		verbose = flag.Bool("v", false, "print one line per world block, not just the bad ones")
+		verbose = flag.Bool("v", false, "print one line per block, not just the bad ones")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: soifsck [-v] FILE...\n       soifsck -repair OUT FILE\n")
@@ -65,90 +71,52 @@ func main() {
 // checkFile verifies (and optionally repairs) one file, returning its exit
 // code contribution.
 func checkFile(path, repair string, verbose bool) int {
-	var magic [8]byte
-	f, err := os.Open(path)
-	if err == nil {
-		_, err = f.Read(magic[:])
-		f.Close()
-	}
-	if err != nil {
-		log.Printf("%s: %v", path, err)
-		return 2
-	}
-	switch string(magic[:6]) {
-	case "SOIIDX":
-		return checkIndex(path, repair, verbose)
-	case "SOISPH":
-		return checkSpheres(path, repair)
-	default:
-		log.Printf("%s: unrecognized magic %q (not an index or sphere store)", path, magic[:])
-		return 2
-	}
-}
-
-func checkIndex(path, repair string, verbose bool) int {
-	var rep *index.FsckReport
+	var rep *blockfile.Report
 	var kept int
 	var err error
 	if repair != "" {
-		rep, kept, err = index.RepairFile(path, repair)
+		rep, kept, err = blockfile.Repair(path, repair, kinds...)
 	} else {
-		rep, err = index.Fsck(path)
+		rep, err = blockfile.Fsck(path, kinds...)
 	}
 	if rep == nil {
 		log.Printf("%s: %v", path, err)
 		return 2
 	}
-	log.Printf("%s: %s nodes=%d worlds=%d size=%d", path, rep.Format, rep.Nodes, rep.Worlds, rep.FileSize)
+	if rep.Kind == nil {
+		log.Printf("%s: %v", path, rep.Fatal)
+		return 2
+	}
+	k := rep.Kind
+	log.Printf("%s: %s %s n=%d %ss=%d size=%d", path, rep.Format, k.Name, rep.N, k.Unit, len(rep.Blocks), rep.FileSize)
 	if rep.Fatal != nil {
 		log.Printf("%s: FATAL: %v", path, rep.Fatal)
 	}
-	for _, b := range rep.Blocks {
+	for i, b := range rep.Blocks {
 		switch {
 		case b.Err != nil:
-			log.Printf("%s: world %d: off=%d len=%d CORRUPT: %v", path, b.World, b.Off, b.Len, b.Err)
+			log.Printf("%s: %s %d: off=%d len=%d CORRUPT: %v", path, k.Unit, i, b.Off, b.Len, b.Err)
 		case verbose:
-			log.Printf("%s: world %d: off=%d len=%d ok", path, b.World, b.Off, b.Len)
+			log.Printf("%s: %s %d: off=%d len=%d ok", path, k.Unit, i, b.Off, b.Len)
 		}
 	}
-	if !rep.FooterOK {
+	if rep.Fatal == nil && !rep.FooterOK {
 		log.Printf("%s: whole-file checksum footer CORRUPT", path)
+	}
+	if rep.Trailing > 0 {
+		log.Printf("%s: %d trailing bytes after the footer", path, rep.Trailing)
 	}
 	if err != nil { // repair failed
 		log.Printf("%s: repair: %v", path, err)
 		return 2
 	}
 	if repair != "" {
-		log.Printf("%s: repaired to %s: kept %d of %d worlds", path, repair, kept, rep.Worlds)
+		log.Printf("%s: repaired to %s: kept %d of %d %ss", path, repair, kept, len(rep.Blocks), k.Unit)
 	}
 	if rep.Clean() {
-		log.Printf("%s: clean (%d worlds)", path, rep.Worlds)
+		log.Printf("%s: clean (%d %ss)", path, len(rep.Blocks), k.Unit)
 		return 0
 	}
-	log.Printf("%s: %d of %d worlds corrupt", path, rep.BadWorlds(), rep.Worlds)
+	log.Printf("%s: %d of %d %ss corrupt", path, rep.Bad(), len(rep.Blocks), k.Unit)
 	return 1
-}
-
-func checkSpheres(path, repair string) int {
-	if repair != "" {
-		n, err := core.RepairSpheresFile(path, repair)
-		if err != nil {
-			log.Printf("%s: repair: %v", path, err)
-			return 2
-		}
-		log.Printf("%s: repaired to %s: %d spheres", path, repair, n)
-		// Report whether the original was actually corrupt.
-		if _, err := core.LoadSpheresFile(path); err != nil {
-			log.Printf("%s: original was corrupt: %v", path, err)
-			return 1
-		}
-		return 0
-	}
-	rs, err := core.LoadSpheresFile(path)
-	if err != nil {
-		log.Printf("%s: CORRUPT: %v", path, err)
-		return 1
-	}
-	log.Printf("%s: clean (%d spheres)", path, len(rs))
-	return 0
 }

@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"soi/internal/cliutil"
 	"soi/internal/httpapi"
 	"soi/internal/router"
 	"soi/internal/telemetry"
@@ -58,7 +57,7 @@ func main() {
 		maxBudget = flag.Duration("max-budget", 30*time.Second, "cap on the per-request budget parameter")
 		drain     = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		statsJSON = flag.String("stats-json", "", "write the machine-readable run report to this file on exit")
-		tflags    cliutil.TraceFlags
+		tflags    httpapi.TraceFlags
 	)
 	tflags.Register(flag.CommandLine)
 	flag.Parse()
@@ -101,7 +100,7 @@ func parseReplicas(spec string) ([][]string, error) {
 func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 	retryBase, hedge time.Duration, brkFails int, brkCool, probe, grace,
 	defBudget, maxBudget, drain time.Duration, statsJSON string,
-	tflags cliutil.TraceFlags) error {
+	tflags httpapi.TraceFlags) error {
 	if topoPath == "" {
 		return fmt.Errorf("-topology is required")
 	}
@@ -121,7 +120,7 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 	if err != nil {
 		return err
 	}
-	if err := cliutil.WriteAddrFile(addrFile, resolved); err != nil {
+	if err := httpapi.WriteAddrFile(addrFile, resolved); err != nil {
 		return err
 	}
 
@@ -170,7 +169,7 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 	defer cancel()
 	rt.Shutdown()
 	err = gate.Shutdown(ctx)
-	cliutil.WriteReport("soigw", statsJSON, tel.Report())
+	httpapi.WriteReport("soigw", statsJSON, tel.Report())
 	if err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

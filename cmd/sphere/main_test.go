@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,9 @@ import (
 	"soi/internal/cliutil"
 	"soi/internal/gen"
 	"soi/internal/graph"
+	"soi/internal/index"
 	"soi/internal/probs"
+	"soi/internal/router"
 	"soi/internal/telemetry"
 )
 
@@ -186,5 +189,45 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), gp, -1, false, 10, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
 		t.Error("accepted neither -node nor -all")
+	}
+}
+
+// TestShardManifestFingerprints: the index fingerprint a -shards manifest
+// records is the one soid reports for the shard's index file, however the
+// file is loaded.
+func TestShardManifestFingerprints(t *testing.T) {
+	dir := t.TempDir()
+	g, _, err := graph.LoadFile(writeTestGraph(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(dir, "g")
+	if err := partitionShards(context.Background(), g, nil, 2, prefix, 20, 0, 1, false, noTel()); err != nil {
+		t.Fatal(err)
+	}
+	topo, err := router.LoadTopology(prefix + "-topology.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range topo.Shards {
+		sg, _, err := graph.LoadFile(filepath.Join(dir, s.GraphFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, s.IndexFile)
+		eager, err := index.LoadFile(p, sg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := index.OpenMmap(p, sg, index.MmapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		for name, x := range map[string]*index.Index{"LoadFile": eager, "OpenMmap": mapped} {
+			if got := fmt.Sprintf("%016x", x.Fingerprint()); got != s.IndexFingerprint {
+				t.Fatalf("shard %d: %s fingerprint %s, manifest says %s", s.ID, name, got, s.IndexFingerprint)
+			}
+		}
 	}
 }

@@ -57,11 +57,22 @@ func selectionDigest(sel Selection) string {
 	return sha(b.Bytes())
 }
 
+// spheresDigest renders sphere-store results exactly — node, set, and the
+// bits of both costs — so the pin covers what the sweep computed and the
+// store round-trips, not the store's byte framing.
+func spheresDigest(rs []core.Result) string {
+	var b bytes.Buffer
+	for _, r := range rs {
+		fmt.Fprintf(&b, "%d:%v|%016x|%016x;", r.Seeds[0], r.Set, math.Float64bits(r.SampleCost), math.Float64bits(r.ExpectedCost))
+	}
+	return sha(b.Bytes())
+}
+
 func TestGoldenParity(t *testing.T) {
 	const (
 		wantIndexSHA   = "8fd68cc4a7d4b21f2b8b5d21a5c56e8a3665c90ec05d2136382102a855849897"
-		wantIndexFP    = uint64(0x6777a6a5a26a97b5)
-		wantSpheresSHA = "d0111c6aed1070e089c20706c5288964d1f96db247557b10d0ee01d2e71442b3"
+		wantIndexFP    = uint64(0x839932599229b6db)
+		wantSpheres    = "963997771e443de20736ed81577baa443378d0be1d76f22eb1376ff792b8385d"
 		wantSpreadBits = uint64(0x400a083126e978d5) // 3.254
 		wantRRSeeds    = "[261 250 296 280 277]"
 		wantRR         = "6ab6110d19e26e8a56ee115f597a8fa31d0eeb0923ce391d706ccede6e03e84c"
@@ -102,8 +113,12 @@ func TestGoldenParity(t *testing.T) {
 		if err := core.SaveSpheres(&buf, res); err != nil {
 			t.Fatal(err)
 		}
-		if got := sha(buf.Bytes()); got != wantSpheresSHA {
-			t.Errorf("core.%s SaveSpheres sha256 = %s, want %s", name, got, wantSpheresSHA)
+		stored, err := core.LoadSpheres(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spheresDigest(stored); got != wantSpheres {
+			t.Errorf("core.%s stored spheres digest = %s, want %s", name, got, wantSpheres)
 		}
 	}
 

@@ -1,6 +1,11 @@
-// Package blockfile is the shared substrate for block-structured, memory-
-// mapped artifact files: a bounds-checked read-only window over a file plus a
-// fixed-width block directory with per-block CRC32-C checksums.
+// Package blockfile is the one on-disk container behind every soi artifact
+// (cascade index, sphere store, sketch, checkpoint) and the only code that
+// knows its layout: header, block directory with per-block CRC32-C
+// checksums, contiguous blocks, whole-file footer. Artifact packages hand it
+// a Kind (magic, size word, directory rules, block decoder) and per-block
+// encoders; the container does the framing, the checksums, the strict
+// streaming read, the memory-mapped window, and the graph-free verify and
+// repair that soifsck runs. See container.go for the byte layout.
 //
 // The design target is "huge artifact, query touches a sliver": a reader
 // maps the file once, verifies only the (small) directory up front, and
@@ -19,9 +24,6 @@
 //     bounds checks cannot see) surfaces as an ErrTruncated error instead of
 //     a SIGBUS-killed process.
 //   - Blocks are only ever used after their CRC32-C matches the directory.
-//
-// The index (SOIIDX03) is the first format on this substrate; the sphere
-// store is designed to follow.
 package blockfile
 
 import (
@@ -44,22 +46,23 @@ var (
 	ErrTruncated = errors.New("blockfile: truncated")
 )
 
-// castagnoli is the CRC32-C polynomial table shared by every blockfile
-// format (and, historically, the v02 whole-file footers).
+// castagnoli is the CRC32-C polynomial table of every checksum in the
+// container.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32-C of data.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // BlockInfo is one fixed-width directory entry: where a block lives, how
-// long it is, its CRC32-C, and a format-specific auxiliary word (the index
+// long it is, its CRC32-C, and a kind-specific auxiliary word (the index
 // stores the world's component count there, so consumers can size scratch
-// buffers without faulting the block in).
+// buffers without faulting the block in; node-range kinds store the range's
+// node count).
 type BlockInfo struct {
 	Off int64  // absolute file offset of the block's first byte
 	Len uint32 // block length in bytes
 	CRC uint32 // CRC32-C of the block bytes
-	Aux uint32 // format-specific (SOIIDX03: component count)
+	Aux uint32 // kind-specific (index: component count; node ranges: node count)
 }
 
 // EntrySize is the serialized size of one directory entry.

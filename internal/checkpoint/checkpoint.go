@@ -14,30 +14,25 @@
 //
 // Stale checkpoints are rejected, not silently resumed: the file is keyed by
 // a fingerprint of the graph, the parameters, and the seed, and a mismatch
-// surfaces as ErrStale. Corruption (truncation, bit flips) is caught by a
-// CRC32-C footer and surfaces as ErrCorrupt.
+// surfaces as ErrStale. Corruption (truncation, bit flips) is caught by the
+// container's CRC32-C checksums and surfaces as ErrCorrupt.
 //
 // # File format
 //
-// Layout of "SOICKP01" (little endian):
+// A checkpoint is a blockfile container (see internal/blockfile) with magic
+// "SOICKP02" and the total unit count as its size word (little endian):
 //
-//	magic       [8]byte  "SOICKP01"
-//	fingerprint uint64   caller-computed key (graph + params + seed)
-//	units       uint32   total number of work units
-//	done        uint32   population count of the bitmap (validated on load)
-//	bitmap      [ceil(units/8)]byte  completed-unit bitmap, LSB-first
-//	payloadLen  uint64
-//	payload     [payloadLen]byte     path-specific partial accumulators
-//	crc         uint32   CRC32-C (Castagnoli) of every preceding byte
+//	block 0  meta: fingerprint u64 (caller-computed key: graph + params +
+//	         seed), done u32 (population count of the bitmap)
+//	block 1  completed-unit bitmap, ceil(units/8) bytes, LSB-first
+//	block 2  path-specific partial accumulators
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
@@ -45,14 +40,10 @@ import (
 	"os"
 
 	"soi/internal/atomicfile"
+	"soi/internal/blockfile"
 	"soi/internal/fault"
 	"soi/internal/graph"
 )
-
-var magic = [8]byte{'S', 'O', 'I', 'C', 'K', 'P', '0', '1'}
-
-// castagnoli is the same CRC32-C polynomial the index and sphere stores use.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
 	// ErrStale marks a checkpoint whose fingerprint (or unit count) does not
@@ -60,8 +51,8 @@ var (
 	// was written. Resuming from it would silently mix incompatible partial
 	// work, so it is rejected instead.
 	ErrStale = errors.New("checkpoint: stale (fingerprint mismatch)")
-	// ErrCorrupt marks a checkpoint that fails structural validation or its
-	// CRC32-C footer.
+	// ErrCorrupt marks a checkpoint that fails structural validation or a
+	// CRC32-C checksum.
 	ErrCorrupt = errors.New("checkpoint: corrupt")
 )
 
@@ -126,7 +117,7 @@ func EncodeUnits(done *Bitmap, record func(w io.Writer, i int) error) ([]byte, e
 }
 
 // DecodeUnits reads a payload framed by EncodeUnits, calling record to read
-// each unit's accumulators. The CRC32-C footer already vouches for the
+// each unit's accumulators. The CRC32-C checksums already vouch for the
 // bytes, so these checks catch logic-level mismatches: an id outside the
 // done bitmap, a done unit the payload lacks, or a record error is
 // ErrCorrupt. what names the payload in error messages.
@@ -154,39 +145,81 @@ func DecodeUnits(st *State, what string, record func(r io.Reader, id int) error)
 	return nil
 }
 
+// Artifact is the checkpoint's container kind. A checkpoint in the retired
+// SOICKP01 format fails as ErrCorrupt with a bad-magic error; the CLIs then
+// discard it and start fresh.
+var Artifact = &blockfile.Kind{
+	Magic:   [8]byte{'S', 'O', 'I', 'C', 'K', 'P', '0', '2'},
+	Name:    "checkpoint",
+	Unit:    "block",
+	Rebuild: "a fresh run of the command that wrote it",
+	Layout: func(units uint32, dir []blockfile.BlockInfo) error {
+		if len(dir) != 3 {
+			return fmt.Errorf("%d blocks, want meta, bitmap and payload", len(dir))
+		}
+		if want := (uint64(units) + 7) / 8; uint64(dir[1].Len) != want {
+			return fmt.Errorf("bitmap block is %d bytes, want %d for %d units", dir[1].Len, want, units)
+		}
+		return nil
+	},
+	Decoder: func(units uint32, _ []blockfile.BlockInfo) blockfile.Decoder { return new(decoded).decoder(units) },
+}
+
+const metaLen = 8 + 4
+
+// decoded is a checkpoint file's content, before it is matched against a run.
+type decoded struct {
+	fp      uint64
+	units   uint32
+	done    *Bitmap
+	payload []byte
+}
+
+// decoder returns the container decoder that fills f from the blocks of a
+// checkpoint over units units.
+func (f *decoded) decoder(units uint32) blockfile.Decoder {
+	f.units = units
+	count := -1 // the meta block's done count; -1 until it decodes
+	return func(i int, data []byte) error {
+		switch i {
+		case 0:
+			if len(data) != metaLen {
+				return fmt.Errorf("meta block is %d bytes, want %d", len(data), metaLen)
+			}
+			f.fp = binary.LittleEndian.Uint64(data)
+			count = int(binary.LittleEndian.Uint32(data[8:]))
+		case 1:
+			if f.done = bitmapFromBytes(data, int(units)); f.done == nil {
+				return fmt.Errorf("bitmap has bits beyond unit count")
+			}
+			if count >= 0 && f.done.Count() != count {
+				return fmt.Errorf("bitmap population %d != recorded %d", f.done.Count(), count)
+			}
+		default:
+			f.payload = append([]byte(nil), data...)
+		}
+		return nil
+	}
+}
+
 // Save writes a checkpoint atomically (temp file + rename + directory sync).
 // payload holds the partial accumulators for the units marked in done.
 func Save(path string, fingerprint uint64, done *Bitmap, payload []byte) error {
 	if err := fault.Hit(fault.CheckpointFlush); err != nil {
 		return err
 	}
+	meta := binary.LittleEndian.AppendUint64(nil, fingerprint)
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(done.Count()))
+	blocks := make([]blockfile.Block, 3)
+	for i, b := range [][]byte{meta, bitmapBytes(done), payload} {
+		blocks[i].Encode = func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		}
+	}
 	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		h := crc32.New(castagnoli)
-		body := io.MultiWriter(bw, h)
-		for _, v := range []any{
-			magic,
-			fingerprint,
-			uint32(done.Len()),
-			uint32(done.Count()),
-		} {
-			if err := binary.Write(body, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		if err := binary.Write(body, binary.LittleEndian, bitmapBytes(done)); err != nil {
-			return err
-		}
-		if err := binary.Write(body, binary.LittleEndian, uint64(len(payload))); err != nil {
-			return err
-		}
-		if _, err := body.Write(payload); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-			return err
-		}
-		return bw.Flush()
+		_, err := blockfile.Write(w, Artifact.Magic, uint32(done.Len()), blocks)
+		return err
 	})
 }
 
@@ -213,97 +246,23 @@ func Load(path string, fingerprint uint64, units int) (*State, error) {
 	return st, nil
 }
 
-// Read parses a checkpoint stream (see Load for the error contract).
+// Read parses a checkpoint stream (see Load for the error contract). The
+// whole file is verified before it is matched against the run.
 func Read(r io.Reader, fingerprint uint64, units int) (*State, error) {
-	br := bufio.NewReader(r)
-	h := crc32.New(castagnoli)
-	body := io.TeeReader(br, h)
-	var m [8]byte
-	if err := binary.Read(body, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("%w: read magic: %v", ErrCorrupt, err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, m[:])
-	}
-	var fp uint64
-	var gotUnits, doneCount uint32
-	if err := binary.Read(body, binary.LittleEndian, &fp); err != nil {
-		return nil, fmt.Errorf("%w: read fingerprint: %v", ErrCorrupt, err)
-	}
-	if err := binary.Read(body, binary.LittleEndian, &gotUnits); err != nil {
-		return nil, fmt.Errorf("%w: read unit count: %v", ErrCorrupt, err)
-	}
-	if err := binary.Read(body, binary.LittleEndian, &doneCount); err != nil {
-		return nil, fmt.Errorf("%w: read done count: %v", ErrCorrupt, err)
-	}
-	if fp != fingerprint {
-		return nil, fmt.Errorf("%w: checkpoint written for fingerprint %016x, run has %016x", ErrStale, fp, fingerprint)
-	}
-	if int(gotUnits) != units {
-		return nil, fmt.Errorf("%w: checkpoint covers %d units, run has %d", ErrStale, gotUnits, units)
-	}
-	raw := make([]byte, (units+7)/8)
-	if _, err := io.ReadFull(body, raw); err != nil {
-		return nil, fmt.Errorf("%w: read bitmap: %v", ErrCorrupt, err)
-	}
-	done := bitmapFromBytes(raw, units)
-	if done == nil {
-		return nil, fmt.Errorf("%w: bitmap has bits beyond unit count", ErrCorrupt)
-	}
-	if done.Count() != int(doneCount) {
-		return nil, fmt.Errorf("%w: bitmap population %d != recorded %d", ErrCorrupt, done.Count(), doneCount)
-	}
-	var payloadLen uint64
-	if err := binary.Read(body, binary.LittleEndian, &payloadLen); err != nil {
-		return nil, fmt.Errorf("%w: read payload length: %v", ErrCorrupt, err)
-	}
-	// The payload is bounded by what a flush could have written; refuse
-	// headers demanding absurd allocations (the CRC would catch them too,
-	// but only after the allocation).
-	const maxPayload = 1 << 40
-	if payloadLen > maxPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
-	}
-	payload, err := readAllN(body, payloadLen)
+	var f decoded
+	err := blockfile.Read(r, Artifact, func(n uint32, _ []blockfile.BlockInfo) (blockfile.Decoder, error) {
+		return f.decoder(n), nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: read payload: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	sum := h.Sum32()
-	var stored uint32
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("%w: read checksum footer: %v", ErrCorrupt, err)
+	if f.fp != fingerprint {
+		return nil, fmt.Errorf("%w: checkpoint written for fingerprint %016x, run has %016x", ErrStale, f.fp, fingerprint)
 	}
-	if sum != stored {
-		return nil, fmt.Errorf("%w: checksum mismatch: file carries %08x, payload hashes to %08x", ErrCorrupt, stored, sum)
+	if int64(f.units) != int64(units) {
+		return nil, fmt.Errorf("%w: checkpoint covers %d units, run has %d", ErrStale, f.units, units)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after checksum footer", ErrCorrupt)
-	}
-	return &State{Done: done, Payload: payload}, nil
-}
-
-// readAllN reads exactly n bytes without trusting n for the initial
-// allocation (a corrupted length then fails on the first missing chunk
-// instead of OOMing).
-func readAllN(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min64(n, chunk))
-	for uint64(len(buf)) < n {
-		next := min64(n-uint64(len(buf)), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, next)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return &State{Done: f.done, Payload: f.payload}, nil
 }
 
 func bitmapBytes(b *Bitmap) []byte {

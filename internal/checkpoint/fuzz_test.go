@@ -13,7 +13,7 @@ import (
 // the unit range).
 func FuzzRead(f *testing.F) {
 	const fp, units = 0x5EED, 100
-	// Valid SOICKP01 with a sparse bitmap and a payload.
+	// Valid checkpoint with a sparse bitmap and a payload.
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.ckpt")
 	done := NewBitmap(units)
@@ -40,13 +40,13 @@ func FuzzRead(f *testing.F) {
 	// Truncated, bit-flipped, and trailing-garbage variants.
 	f.Add(valid[:len(valid)/2])
 	flipped := append([]byte(nil), valid...)
-	flipped[9] ^= 0x01 // fingerprint
+	flipped[9] ^= 0x01 // unit count in the header
 	f.Add(flipped)
 	flipped2 := append([]byte(nil), valid...)
 	flipped2[len(flipped2)/2] ^= 0x80 // bitmap / payload region
 	f.Add(flipped2)
 	f.Add(append(append([]byte(nil), valid...), 0xAA))
-	f.Add([]byte("SOICKP01"))
+	f.Add([]byte("SOICKP01")) // retired format
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,14 +2,13 @@ package cliutil
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
 
-	"soi/internal/atomicfile"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/httpapi"
 	"soi/internal/telemetry"
 )
 
@@ -66,46 +65,13 @@ func (t *RunTelemetry) Flush() {
 			return
 		}
 		rep := t.Registry.Report()
-		WriteReport(t.Tool, t.statsPath, rep)
+		httpapi.WriteReport(t.Tool, t.statsPath, rep)
 		rep.WriteTable(os.Stderr)
 		if t.server != nil {
 			if err := t.server.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: closing debug server: %v\n", t.Tool, err)
 			}
 		}
-	})
-}
-
-// WriteReport writes rep as the -stats-json file at path, atomically; an
-// empty path writes nothing. A failure is reported on stderr and otherwise
-// ignored: telemetry must not turn a successful run into a failed one.
-func WriteReport(tool, path string, rep telemetry.Report) {
-	if path == "" {
-		return
-	}
-	err := atomicfile.WriteFile(path, func(w io.Writer) error {
-		b, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(b)
-		return err
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: writing stats to %s: %v\n", tool, path, err)
-	}
-}
-
-// WriteAddrFile writes a daemon's resolved listen address to path (the
-// -addr-file flag), atomically, so a script polling the file never reads a
-// partial address; an empty path writes nothing.
-func WriteAddrFile(path, addr string) error {
-	if path == "" {
-		return nil
-	}
-	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		_, err := fmt.Fprintln(w, addr)
-		return err
 	})
 }
 

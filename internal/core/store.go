@@ -1,16 +1,14 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 
 	"soi/internal/atomicfile"
+	"soi/internal/blockfile"
 	"soi/internal/fault"
 	"soi/internal/graph"
 )
@@ -24,173 +22,144 @@ import (
 // estimates; a later process loads them and runs any of the max-cover
 // variants (plain, weighted, budgeted) without touching the sampler.
 //
-// Layout (little endian):
+// The file is a blockfile container (see internal/blockfile) with magic
+// "SOISPH03": the size word is the node count, and block r holds the
+// records of node range r (blockfile.NodeRange), its aux word the range's
+// node count. Per node, in id order (little endian):
 //
-//	magic   [8]byte "SOISPH02"
-//	nodes   uint32            (spheres stored for every node, in id order)
-//	per node:
-//	  setLen       uint32
-//	  set          [setLen]int32
-//	  sampleCost   float64
-//	  expectedCost float64
-//	crc     uint32            CRC32-C (Castagnoli) of every preceding byte
-//
-// Version history: v01 ("SOISPH01") is the same layout without the CRC
-// footer; LoadSpheres still accepts it, SaveSpheres always produces v02.
+//	setLen       uint32
+//	set          [setLen]int32   strictly ascending member ids
+//	sampleCost   float64
+//	expectedCost float64
 
-var (
-	sphereMagicV1 = [8]byte{'S', 'O', 'I', 'S', 'P', 'H', '0', '1'}
-	sphereMagicV2 = [8]byte{'S', 'O', 'I', 'S', 'P', 'H', '0', '2'}
-)
+// SphereArtifact is the sphere store's container kind. Stores in the
+// retired SOISPH01/02 formats fail with a bad-magic error naming the
+// rebuild command.
+var SphereArtifact = &blockfile.Kind{
+	Magic:   [8]byte{'S', 'O', 'I', 'S', 'P', 'H', '0', '3'},
+	Name:    "sphere store",
+	Unit:    "block",
+	Rebuild: "sphere -all -store",
+	Layout: func(n uint32, dir []blockfile.BlockInfo) error {
+		if n > maxStoreNodes {
+			return fmt.Errorf("implausible node count %d", n)
+		}
+		return blockfile.CheckRanges(n, dir, 0)
+	},
+	Decoder: func(n uint32, _ []blockfile.BlockInfo) blockfile.Decoder {
+		return func(r int, data []byte) error {
+			_, err := decodeSpheres(nil, data, n, r)
+			return err
+		}
+	},
+}
 
-// sphereCastagnoli is the CRC32-C table for the sphere store.
-var sphereCastagnoli = crc32.MakeTable(crc32.Castagnoli)
+const maxStoreNodes = 1 << 28
 
-// SaveSpheres writes the results of ComputeAll in the v02 (checksummed)
-// format. Results must be indexed by node id (results[v].Seeds == [v]), as
-// ComputeAll produces.
+// SaveSpheres writes the results of ComputeAll as a sphere store. Results
+// must be indexed by node id (results[v].Seeds == [v]), as ComputeAll
+// produces.
 func SaveSpheres(w io.Writer, results []Result) error {
-	bw := bufio.NewWriter(w)
-	h := crc32.New(sphereCastagnoli)
-	body := io.MultiWriter(bw, h)
-	if err := binary.Write(body, binary.LittleEndian, sphereMagicV2); err != nil {
-		return err
-	}
-	if err := binary.Write(body, binary.LittleEndian, uint32(len(results))); err != nil {
-		return err
-	}
 	for v := range results {
-		r := &results[v]
-		if len(r.Seeds) != 1 || r.Seeds[0] != graph.NodeID(v) {
+		if r := &results[v]; len(r.Seeds) != 1 || r.Seeds[0] != graph.NodeID(v) {
 			return fmt.Errorf("core: result %d is not the single-source sphere of node %d", v, v)
 		}
-		if err := binary.Write(body, binary.LittleEndian, uint32(len(r.Set))); err != nil {
-			return err
-		}
-		if len(r.Set) > 0 {
-			if err := binary.Write(body, binary.LittleEndian, r.Set); err != nil {
-				return err
-			}
-		}
-		if err := binary.Write(body, binary.LittleEndian, r.SampleCost); err != nil {
-			return err
-		}
-		if err := binary.Write(body, binary.LittleEndian, r.ExpectedCost); err != nil {
-			return err
-		}
 	}
-	// Footer: checksum of everything above, itself excluded.
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-		return err
+	blocks := make([]blockfile.Block, blockfile.Ranges(len(results)))
+	for r := range blocks {
+		lo, hi := blockfile.NodeRange(r, len(results))
+		rs := results[lo:hi]
+		blocks[r] = blockfile.Block{Aux: uint32(len(rs)), Encode: func(w io.Writer) error { return encodeSpheres(w, rs) }}
 	}
-	return bw.Flush()
+	_, err := blockfile.Write(w, SphereArtifact.Magic, uint32(len(results)), blocks)
+	return err
 }
 
-// LoadSpheres reads a sphere store (v02 with checksum verification, or the
-// legacy v01 format without). Results are indexed by node id; timing fields
-// are zero (they describe the original computation, not the load).
-func LoadSpheres(r io.Reader) ([]Result, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("core: read sphere magic: %w", err)
-	}
-	var h hash.Hash32
-	var body io.Reader = br
-	switch m {
-	case sphereMagicV1:
-		// Legacy format: no checksum to verify.
-	case sphereMagicV2:
-		h = crc32.New(sphereCastagnoli)
-		h.Write(m[:]) // the writer hashed the magic too
-		body = io.TeeReader(br, h)
-	default:
-		return nil, fmt.Errorf("core: bad sphere-store magic %q", m[:])
-	}
-	out, err := loadSphereBody(body)
-	if err != nil {
-		return nil, err
-	}
-	if h != nil {
-		var stored uint32
-		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("core: read sphere checksum footer: %w", err)
+// encodeSpheres writes one node range's records, one record at a time.
+func encodeSpheres(w io.Writer, rs []Result) error {
+	var buf []byte
+	for i := range rs {
+		r := &rs[i]
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(len(r.Set)))
+		for _, v := range r.Set {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 		}
-		if sum := h.Sum32(); sum != stored {
-			return nil, fmt.Errorf("core: sphere-store checksum mismatch: file carries %08x, payload hashes to %08x (corrupted store)", stored, sum)
-		}
-		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("core: trailing data after sphere-store checksum footer")
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.SampleCost))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.ExpectedCost))
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// loadSphereBody parses the version-independent payload.
-func loadSphereBody(br io.Reader) ([]Result, error) {
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	const maxNodes = 1 << 28
-	if n > maxNodes {
-		return nil, fmt.Errorf("core: implausible node count %d", n)
-	}
-	// Never trust the header for large allocations: grow incrementally so a
-	// corrupted count fails on the first missing record instead of OOMing.
-	out := make([]Result, 0, min32(n, 1<<16))
-	for v := uint32(0); v < n; v++ {
-		var setLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &setLen); err != nil {
-			return nil, err
+// decodeSpheres appends the spheres of node range r of an n-node store,
+// decoded and validated from the range's block, to dst.
+func decodeSpheres(dst []Result, data []byte, n uint32, r int) ([]Result, error) {
+	lo, hi := blockfile.NodeRange(r, int(n))
+	le := binary.LittleEndian
+	for v := lo; v < hi; v++ {
+		if len(data) < 4 {
+			return dst, fmt.Errorf("node %d record truncated", v)
 		}
+		setLen := le.Uint32(data)
 		if setLen > n {
-			return nil, fmt.Errorf("core: node %d sphere size %d exceeds node count", v, setLen)
+			return dst, fmt.Errorf("node %d sphere size %d exceeds node count", v, setLen)
 		}
-		set := make([]graph.NodeID, 0, min32(setLen, 1<<14))
+		if uint64(len(data)) < 4+4*uint64(setLen)+16 {
+			return dst, fmt.Errorf("node %d record truncated", v)
+		}
+		set := make([]graph.NodeID, setLen)
 		prev := graph.NodeID(-1)
-		for j := uint32(0); j < setLen; j++ {
-			var e graph.NodeID
-			if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
-				return nil, err
-			}
+		for j := range set {
+			e := graph.NodeID(int32(le.Uint32(data[4+4*j:])))
 			if e < 0 || uint32(e) >= n {
-				return nil, fmt.Errorf("core: node %d sphere contains out-of-range member %d", v, e)
+				return dst, fmt.Errorf("node %d sphere contains out-of-range member %d", v, e)
 			}
 			if e <= prev {
-				return nil, fmt.Errorf("core: node %d sphere not strictly sorted", v)
+				return dst, fmt.Errorf("node %d sphere not strictly sorted", v)
 			}
-			prev = e
-			set = append(set, e)
+			set[j], prev = e, e
 		}
-		var sampleCost, expectedCost float64
-		if err := binary.Read(br, binary.LittleEndian, &sampleCost); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &expectedCost); err != nil {
-			return nil, err
-		}
+		data = data[4+4*setLen:]
+		sampleCost := math.Float64frombits(le.Uint64(data))
+		expectedCost := math.Float64frombits(le.Uint64(data[8:]))
+		data = data[16:]
 		if math.IsNaN(sampleCost) || sampleCost < 0 || sampleCost > 1 {
-			return nil, fmt.Errorf("core: node %d has invalid sample cost %v", v, sampleCost)
+			return dst, fmt.Errorf("node %d has invalid sample cost %v", v, sampleCost)
 		}
 		if math.IsNaN(expectedCost) || expectedCost < -1 || expectedCost > 1 {
-			return nil, fmt.Errorf("core: node %d has invalid expected cost %v", v, expectedCost)
+			return dst, fmt.Errorf("node %d has invalid expected cost %v", v, expectedCost)
 		}
-		out = append(out, Result{
+		dst = append(dst, Result{
 			Seeds:        []graph.NodeID{graph.NodeID(v)},
 			Set:          set,
 			SampleCost:   sampleCost,
 			ExpectedCost: expectedCost,
 		})
 	}
-	return out, nil
+	if len(data) != 0 {
+		return dst, fmt.Errorf("%d trailing bytes after the last record", len(data))
+	}
+	return dst, nil
 }
 
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
+// LoadSpheres reads a sphere store, strictly: any corruption rejects it.
+// Results are indexed by node id; timing fields are zero (they describe the
+// original computation, not the load).
+func LoadSpheres(r io.Reader) ([]Result, error) {
+	var out []Result
+	err := blockfile.Read(r, SphereArtifact, func(n uint32, _ []blockfile.BlockInfo) (blockfile.Decoder, error) {
+		out = make([]Result, 0, min(n, 1<<16))
+		return func(r int, data []byte) (err error) {
+			out, err = decodeSpheres(out, data, n, r)
+			return err
+		}, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return b
+	return out, nil
 }
 
 // SaveSpheresFile writes the sphere store to path atomically (temp file +
@@ -213,31 +182,4 @@ func LoadSpheresFile(path string) ([]Result, error) {
 	}
 	defer f.Close()
 	return LoadSpheres(f)
-}
-
-// RepairSpheresFile rewrites a sphere store whose payload still parses into
-// a clean v02 file at dst, returning the sphere count. This recovers the
-// corruption classes a single trailing checksum makes fatal — a flipped or
-// truncated footer, trailing garbage, or a legacy v01 file — without
-// recomputing anything. Payload corruption is unrecoverable (the records are
-// not independently checksummed): rebuild with sphere -all -store instead.
-func RepairSpheresFile(src, dst string) (int, error) {
-	f, err := os.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var m [8]byte
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return 0, fmt.Errorf("core: read sphere magic: %w", err)
-	}
-	if m != sphereMagicV1 && m != sphereMagicV2 {
-		return 0, fmt.Errorf("core: bad sphere-store magic %q", m[:])
-	}
-	out, err := loadSphereBody(br)
-	if err != nil {
-		return 0, fmt.Errorf("core: sphere-store payload is unrecoverable (%w); rebuild with sphere -all -store", err)
-	}
-	return len(out), SaveSpheresFile(dst, out)
 }

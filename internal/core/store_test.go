@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
+	"soi/internal/blockfile"
 	"soi/internal/graph"
 	"soi/internal/rng"
 )
@@ -64,9 +66,9 @@ func TestSaveSpheresRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// TestLoadSpheresDetectsEveryBitFlip flips every single bit of a v02 sphere
+// TestLoadSpheresDetectsEveryBitFlip flips every single bit of a sphere
 // store and requires LoadSpheres to reject each corrupted copy — the CRC32-C
-// footer catches the flips (a cost mantissa bit, say) that pass every
+// checksums catch the flips (a cost mantissa bit, say) that pass every
 // structural check.
 func TestLoadSpheresDetectsEveryBitFlip(t *testing.T) {
 	g := paperGraph(t)
@@ -92,45 +94,55 @@ func TestLoadSpheresDetectsEveryBitFlip(t *testing.T) {
 	}
 }
 
-// TestLoadSpheresAcceptsV01 checks back-compat with the pre-checksum format:
-// a v01 store (v02 bytes minus the footer, magic patched) must load with
-// identical contents and re-serialize as the original v02 bytes.
-func TestLoadSpheresAcceptsV01(t *testing.T) {
-	g := paperGraph(t)
-	x := buildIndex(t, g, 40, 38)
-	results := ComputeAll(x, Options{CostSamples: 60, CostSeed: 39})
+// TestSphereStoreNodeRanges round-trips a store spanning several node-range
+// blocks, including a short last range, and checks the directory's aux
+// words carry each range's node count.
+func TestSphereStoreNodeRanges(t *testing.T) {
+	const n = 2*blockfile.RangeNodes + 7
+	results := make([]Result, n)
+	for v := range results {
+		results[v] = Result{
+			Seeds:        []graph.NodeID{graph.NodeID(v)},
+			Set:          []graph.NodeID{graph.NodeID(v / 2), graph.NodeID(v)}[:1+v%2],
+			SampleCost:   float64(v%10) / 10,
+			ExpectedCost: -float64(v%3) / 3,
+		}
+	}
+	results[0].Set = nil
 	var buf bytes.Buffer
 	if err := SaveSpheres(&buf, results); err != nil {
 		t.Fatal(err)
 	}
-	v2 := buf.Bytes()
-	v1 := append([]byte(nil), v2[:len(v2)-4]...)
-	copy(v1, sphereMagicV1[:])
-
-	loaded, err := LoadSpheres(bytes.NewReader(v1))
+	rep := blockfile.Verify(buf.Bytes(), SphereArtifact)
+	if !rep.Clean() || len(rep.Blocks) != 3 {
+		t.Fatalf("report %+v, want a clean 3-block store", rep)
+	}
+	for r, want := range []uint32{blockfile.RangeNodes, blockfile.RangeNodes, 7} {
+		if rep.Blocks[r].Aux != want {
+			t.Fatalf("block %d aux %d, want %d", r, rep.Blocks[r].Aux, want)
+		}
+	}
+	loaded, err := LoadSpheres(&buf)
 	if err != nil {
-		t.Fatalf("v01 stream rejected: %v", err)
-	}
-	if len(loaded) != len(results) {
-		t.Fatalf("v01 load has %d spheres, want %d", len(loaded), len(results))
-	}
-	for v := range results {
-		if !equal(loaded[v].Set, results[v].Set) {
-			t.Fatalf("node %d: v01 set differs", v)
-		}
-		if loaded[v].SampleCost != results[v].SampleCost ||
-			loaded[v].ExpectedCost != results[v].ExpectedCost {
-			t.Fatalf("node %d: v01 costs differ", v)
-		}
-	}
-
-	// v01 -> v02 round trip: re-serializing upgrades the format.
-	var up bytes.Buffer
-	if err := SaveSpheres(&up, loaded); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(up.Bytes(), v2) {
-		t.Fatal("v01 -> v02 round trip did not reproduce the original v02 bytes")
+	for v := range results {
+		if !equal(loaded[v].Set, results[v].Set) || loaded[v].SampleCost != results[v].SampleCost ||
+			loaded[v].ExpectedCost != results[v].ExpectedCost || loaded[v].Seeds[0] != graph.NodeID(v) {
+			t.Fatalf("node %d: %+v, want %+v", v, loaded[v], results[v])
+		}
+	}
+}
+
+// TestLoadSpheresRejectsRetiredFormats: SOISPH01/02 stores predate the
+// container and must fail with an error naming the rebuild command.
+func TestLoadSpheresRejectsRetiredFormats(t *testing.T) {
+	for _, magic := range []string{"SOISPH01", "SOISPH02"} {
+		data := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 0)
+		_, err := LoadSpheres(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "rebuild with sphere -all -store") {
+			t.Fatalf("%s: err = %v, want a bad-magic error naming the rebuild command", magic, err)
+		}
 	}
 }
 
@@ -188,6 +200,10 @@ func TestRepairSpheresFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repair := func() (int, error) {
+		_, n, err := blockfile.Repair(src, dir+"/repaired.bin", SphereArtifact)
+		return n, err
+	}
 
 	// A flipped checksum footer makes the whole store unloadable...
 	data[len(data)-1] ^= 0xFF
@@ -197,16 +213,11 @@ func TestRepairSpheresFile(t *testing.T) {
 	if _, err := LoadSpheresFile(src); err == nil {
 		t.Fatal("corrupt footer accepted")
 	}
-	// ...but the payload is intact, so repair recovers every sphere.
-	out := dir + "/repaired.bin"
-	n, err := RepairSpheresFile(src, out)
-	if err != nil {
-		t.Fatal(err)
+	// ...but every block is intact, so repair recovers every sphere.
+	if n, err := repair(); err != nil || n != blockfile.Ranges(g.NumNodes()) {
+		t.Fatalf("repair kept %d blocks (err %v), want all %d", n, err, blockfile.Ranges(g.NumNodes()))
 	}
-	if n != g.NumNodes() {
-		t.Fatalf("repaired %d spheres, want %d", n, g.NumNodes())
-	}
-	loaded, err := LoadSpheresFile(out)
+	loaded, err := LoadSpheresFile(dir + "/repaired.bin")
 	if err != nil {
 		t.Fatalf("repaired store does not load: %v", err)
 	}
@@ -216,12 +227,20 @@ func TestRepairSpheresFile(t *testing.T) {
 		}
 	}
 
-	// Payload corruption is beyond repair: records share one checksum.
-	data[8] ^= 0xFF // node-count word
+	// A corrupt header or block is beyond repair: a store needs every node.
+	data[8] ^= 0xFF // node-count word, covered by the directory checksum
 	if err := os.WriteFile(src, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RepairSpheresFile(src, out); err == nil {
-		t.Fatal("unrecoverable payload repaired silently")
+	if _, err := repair(); err == nil {
+		t.Fatal("corrupt header repaired silently")
+	}
+	data[8] ^= 0xFF
+	data[blockfile.BlocksStart(1)+2] ^= 0xFF
+	if err := os.WriteFile(src, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repair(); err == nil {
+		t.Fatal("corrupt block repaired silently")
 	}
 }

@@ -1,8 +1,9 @@
 // Package httpapi is the HTTP scaffold shared by the two serving daemons,
 // soid (internal/server) and soigw (internal/router): the /v1 error
 // contract, the request-parameter parsing both tiers must agree on, the
-// debug surface, the request frame every /v1 endpoint runs inside, and the
-// one listener (Gate) both binaries bind through.
+// debug surface, the request frame every /v1 endpoint runs inside, the
+// one listener (Gate) both binaries bind through, and the daemon flags and
+// files both share (tracing flags, -addr-file, -stats-json).
 //
 // It imports no compute package, so the gateway can speak the wire
 // contract without linking the index, sketch and sampling code it never

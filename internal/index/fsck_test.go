@@ -4,11 +4,20 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"soi/internal/blockfile"
 	"soi/internal/graph"
 )
+
+// Fsck and RepairFile run the generic container verifier and repairer with
+// the index kind, exactly as soifsck does for an index file.
+func Fsck(path string) (*blockfile.Report, error) { return blockfile.Fsck(path, Artifact) }
+
+func RepairFile(src, dst string) (*blockfile.Report, int, error) {
+	return blockfile.Repair(src, dst, Artifact)
+}
 
 // fsckFixture serializes a fresh index to a temp file and returns the path,
 // the raw bytes, and the directory for targeted corruption.
@@ -24,7 +33,7 @@ func fsckFixture(t *testing.T) (string, []byte, []blockfile.BlockInfo, *graph.Gr
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	dir, err := blockfile.ParseDirectory(data[v3HeaderLen:v3HeaderLen+6*blockfile.EntrySize], 6)
+	dir, err := blockfile.ParseDirectory(data[blockfile.HeaderLen:blockfile.HeaderLen+6*blockfile.EntrySize], 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +50,10 @@ func TestFsckCleanFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || rep.BadWorlds() != 0 || !rep.FooterOK {
+	if !rep.Clean() || rep.Bad() != 0 || !rep.FooterOK {
 		t.Fatalf("clean file reported dirty: %+v", rep)
 	}
-	if rep.Format != "SOIIDX03" || rep.Nodes != 25 || rep.Worlds != 6 {
+	if rep.Format != "SOIIDX03" || rep.Kind != Artifact || rep.N != 25 {
 		t.Fatalf("report header: %+v", rep)
 	}
 	if len(rep.Blocks) != 6 {
@@ -67,8 +76,8 @@ func TestFsckReportsEveryBadBlock(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("corrupt file reported clean")
 	}
-	if rep.BadWorlds() != 2 {
-		t.Fatalf("BadWorlds %d, want 2 (one pass must find both)", rep.BadWorlds())
+	if rep.Bad() != 2 {
+		t.Fatalf("BadWorlds %d, want 2 (one pass must find both)", rep.Bad())
 	}
 	for _, w := range []int{1, 4} {
 		if rep.Blocks[w].Err == nil {
@@ -92,15 +101,15 @@ func TestRepairFileDropsBadWorlds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != 5 || rep.BadWorlds() != 1 {
-		t.Fatalf("kept %d (bad %d), want 5 kept 1 bad", kept, rep.BadWorlds())
+	if kept != 5 || rep.Bad() != 1 {
+		t.Fatalf("kept %d (bad %d), want 5 kept 1 bad", kept, rep.Bad())
 	}
 	// The repaired file is clean by both fsck and the strict eager reader.
 	rep2, err := Fsck(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.Clean() || rep2.Worlds != 5 {
+	if !rep2.Clean() || len(rep2.Blocks) != 5 {
 		t.Fatalf("repaired file not clean: %+v", rep2)
 	}
 	x, err := LoadFile(out, g)
@@ -126,6 +135,9 @@ func TestRepairFileRefusesTotalLoss(t *testing.T) {
 	}
 }
 
+// TestFsckLegacyFormats: the retired v01/v02 formats have no block
+// directory, so fsck reports them fatal with the rebuild command, and
+// repair refuses them rather than salvaging a prefix.
 func TestFsckLegacyFormats(t *testing.T) {
 	g := randomGraph(t, 171, 25, 90)
 	x, err := Build(g, Options{Samples: 6, Seed: 172})
@@ -138,59 +150,19 @@ func TestFsckLegacyFormats(t *testing.T) {
 		magic  [8]byte
 		footer bool
 	}{{"v01", magicV1, false}, {"v02", magicV2, true}} {
-		data := writeLegacy(t, x, tc.magic, tc.footer)
 		p := filepath.Join(dirname, tc.name+".idx")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+		if err := os.WriteFile(p, writeLegacy(t, x, tc.magic, tc.footer), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := Fsck(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Clean() || rep.BadWorlds() != 0 {
-			t.Fatalf("%s: clean legacy file reported dirty: %+v", tc.name, rep)
+		if rep.Clean() || rep.Fatal == nil || !strings.Contains(rep.Fatal.Error(), "rebuild with sphere -build-index") {
+			t.Fatalf("%s: report %+v, want a fatal bad-magic error naming the rebuild command", tc.name, rep)
 		}
-
-		// Corrupt a record in the middle: the bad world and everything after
-		// it (unreachable without a directory) must be flagged.
-		d := append([]byte(nil), data...)
-		d[rep.Blocks[3].Off+6] ^= 0xFF
-		pc := filepath.Join(dirname, tc.name+"-bad.idx")
-		if err := os.WriteFile(pc, d, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rep, err = Fsck(pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Clean() || rep.Blocks[3].Err == nil || rep.Blocks[5].Err == nil {
-			t.Fatalf("%s: corrupt record not flagged: %+v", tc.name, rep)
-		}
-
-		// Repair salvages the clean prefix and upgrades to v03.
-		out := filepath.Join(dirname, tc.name+"-fixed.idx")
-		_, kept, err := RepairFile(pc, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kept != 3 {
-			t.Fatalf("%s: kept %d worlds, want the 3-record clean prefix", tc.name, kept)
-		}
-		fixed, err := LoadFile(out, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fixed.NumWorlds() != 3 {
-			t.Fatalf("%s: repaired index has %d worlds", tc.name, fixed.NumWorlds())
-		}
-		// The salvaged worlds answer identically to the originals.
-		s, s2 := x.NewScratch(), fixed.NewScratch()
-		for i := 0; i < 3; i++ {
-			a := x.Cascade(0, i, s, nil)
-			b := fixed.Cascade(0, i, s2, nil)
-			if len(a) != len(b) {
-				t.Fatalf("%s: world %d cascade diverged after repair", tc.name, i)
-			}
+		if _, _, err := RepairFile(p, filepath.Join(dirname, tc.name+"-fixed.idx")); err == nil {
+			t.Fatalf("%s: repair of a retired format succeeded", tc.name)
 		}
 	}
 }
@@ -220,8 +192,8 @@ func TestFsckFatalShapes(t *testing.T) {
 	mangle("unrecognized magic", func(d []byte) []byte { copy(d, "SOIIDX99"); return d })
 	mangle("zero node count", func(d []byte) []byte { copy(d[8:12], []byte{0, 0, 0, 0}); return d })
 	mangle("implausible world count", func(d []byte) []byte { copy(d[12:16], []byte{255, 255, 255, 255}); return d })
-	mangle("ends inside the directory", func(d []byte) []byte { return d[:v3HeaderLen+blockfile.EntrySize] })
-	mangle("directory checksum flip", func(d []byte) []byte { d[v3HeaderLen] ^= 0xFF; return d })
+	mangle("ends inside the directory", func(d []byte) []byte { return d[:blockfile.HeaderLen+blockfile.EntrySize] })
+	mangle("directory checksum flip", func(d []byte) []byte { d[blockfile.HeaderLen] ^= 0xFF; return d })
 
 	// A missing file is an I/O error, not a report.
 	if rep, err := Fsck(filepath.Join(t.TempDir(), "nope.idx")); err == nil || rep != nil {

@@ -22,10 +22,10 @@ func FuzzRead(f *testing.F) {
 	if _, err := x.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())                       // valid v03 (block directory)
-	f.Add(writeLegacy(f, x, magicV1, false)) // valid legacy v01 (no checksum)
+	f.Add(buf.Bytes())                       // valid container
+	f.Add(writeLegacy(f, x, magicV1, false)) // retired v01: must be rejected
 	v2 := writeLegacy(f, x, magicV2, true)
-	f.Add(v2) // valid v02 (CRC32-C footer)
+	f.Add(v2) // retired v02: must be rejected
 	// v02 with a corrupted checksum footer.
 	bad := append([]byte(nil), v2...)
 	bad[len(bad)-1] ^= 0xFF
@@ -47,7 +47,7 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadV03 hammers the v03 block-directory paths specifically: the seed
+// FuzzReadV03 hammers the block-directory paths specifically: the seed
 // corpus mutates the directory (offsets, lengths, CRCs, comps), not just
 // the payload, and every input is fed to both the strict eager reader and
 // the lazy OpenMmap loader. Neither may panic; whatever OpenMmap accepts
@@ -73,17 +73,17 @@ func FuzzReadV03(f *testing.F) {
 	}
 	// One seed per directory field of world 1 (offset, length, CRC, comps),
 	// plus the directory CRC, a block byte, and the footer.
-	dirBase := v3HeaderLen + blockfile.EntrySize
-	mutate(dirBase+0, 0x01)                         // off
-	mutate(dirBase+8, 0x01)                         // len
-	mutate(dirBase+12, 0x01)                        // crc
-	mutate(dirBase+16, 0x01)                        // comps
-	mutate(v3HeaderLen+3*blockfile.EntrySize, 0xFF) // directory CRC word
-	mutate(int(v3BlocksStart(3))+5, 0xFF)           // first block's bytes
-	mutate(len(clean)-1, 0xFF)                      // whole-file footer
-	f.Add(clean[:v3HeaderLen])                      // truncated at directory
-	f.Add(clean[:int(v3BlocksStart(3))+1])          // truncated mid-block
-	f.Add(append(append([]byte(nil), clean...), 0)) // trailing byte
+	dirBase := blockfile.HeaderLen + blockfile.EntrySize
+	mutate(dirBase+0, 0x01)                                 // off
+	mutate(dirBase+8, 0x01)                                 // len
+	mutate(dirBase+12, 0x01)                                // crc
+	mutate(dirBase+16, 0x01)                                // comps
+	mutate(blockfile.HeaderLen+3*blockfile.EntrySize, 0xFF) // directory CRC word
+	mutate(int(blockfile.BlocksStart(3))+5, 0xFF)           // first block's bytes
+	mutate(len(clean)-1, 0xFF)                              // whole-file footer
+	f.Add(clean[:blockfile.HeaderLen])                      // truncated at directory
+	f.Add(clean[:int(blockfile.BlocksStart(3))+1])          // truncated mid-block
+	f.Add(append(append([]byte(nil), clean...), 0))         // trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if idx, err := Read(bytes.NewReader(data), g); err == nil {
 			s := idx.NewScratch()

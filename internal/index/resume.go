@@ -129,27 +129,6 @@ func BuildFingerprint(g *graph.Graph, opts Options) uint64 {
 		Sum()
 }
 
-// Fingerprint returns a content hash of the index — the graph plus every
-// world's component assignment and condensation — cached after the first
-// call. Downstream checkpointed sweeps (the all-nodes typical-cascade pass)
-// key their checkpoints on it, so resuming against a different or partially
-// different index is rejected as stale rather than silently mixing samples.
-func (x *Index) Fingerprint() uint64 {
-	x.fpOnce.Do(func() {
-		h := checkpoint.NewHasher().String("index.Contents").Graph(x.g).Int(len(x.entries))
-		for i := range x.entries {
-			e := &x.entries[i]
-			h.Int32s(e.comp)
-			h.Int(len(e.dag))
-			for _, succs := range e.dag {
-				h.Int32s(succs)
-			}
-		}
-		x.fp = h.Sum()
-	})
-	return x.fp
-}
-
 // decodeBuildPayload restores completed worlds from a checkpoint payload
 // and returns the bitmap of worlds it restored (nil when st is nil: nothing
 // to resume).
@@ -158,7 +137,7 @@ func decodeBuildPayload(st *checkpoint.State, nodes uint32, entries []worldEntry
 		return nil, nil
 	}
 	err := checkpoint.DecodeUnits(st, "index", func(r io.Reader, id int) error {
-		e, err := readEntry(r, nodes, id)
+		e, err := readEntry(r, nodes)
 		entries[id] = e
 		return err
 	})

@@ -1,15 +1,15 @@
 package index
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"soi/internal/atomicfile"
+	"soi/internal/blockfile"
+	"soi/internal/checkpoint"
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/scc"
@@ -17,53 +17,63 @@ import (
 
 // Binary serialization of the cascade index. The paper's deployment story
 // is "precompute the spheres of influence and store them in an index"; the
-// format below lets the index be built once and memory-mapped-style reloaded
-// by query tools.
+// index is built once and reloaded — eagerly, or memory-mapped and paged in
+// on demand — by query tools.
 //
-// Layout (little endian):
+// The file is a blockfile container (see internal/blockfile) with magic
+// "SOIIDX03": the size word is the node count, block i is world i, and the
+// directory's aux word is the world's component count, so scratch sizing
+// and NumComponents never touch the blocks. A world block is
 //
-//	magic   [8]byte  "SOIIDX02"
-//	nodes   uint32
-//	worlds  uint32
-//	per world:
-//	  comps   uint32
-//	  comp    [nodes]int32        node -> component
-//	  per component: deg uint32, then deg int32 successor ids
-//	crc     uint32   CRC32-C (Castagnoli) of every preceding byte,
-//	                 magic included
+//	comps   uint32
+//	comp    [nodes]int32        node -> component
+//	per component: deg uint32, then deg int32 successor ids
 //
 // The members CSR is rebuilt from comp at load time (cheaper than storing).
-//
-// The per-world record (writeEntry/readEntry) is shared with the
-// checkpoint payload of BuildResumable, so a partially built index
-// checkpoints its completed worlds in exactly the on-disk format.
-//
-// Version history: v01 ("SOIIDX01") is the same layout without the CRC
-// footer; v02 adds the whole-file CRC32-C footer. The checksum catches the
-// corruption class the structural validators cannot: bit flips that leave
-// every count and id in range but silently change query results. The
-// current write format is v03 (see v3.go), which splits the worlds into a
-// directory of independently checksummed blocks so the file can be
-// memory-mapped and served page-on-demand; Read accepts all three.
+// The per-world record (writeEntry/readEntry) is shared with the checkpoint
+// payload of BuildResumable, so a partially built index checkpoints its
+// completed worlds in exactly the on-disk format.
 
-var (
-	magicV1 = [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '1'}
-	magicV2 = [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '2'}
-)
-
-// castagnoli is the CRC32-C table shared by the index and sphere stores.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// countingWriter tracks bytes written for WriteTo's return value.
-type countingWriter struct {
-	w io.Writer
-	n int64
+// Artifact is the index's container kind. A file in a retired format
+// (SOIIDX01/02) fails with a bad-magic error naming the rebuild command.
+var Artifact = &blockfile.Kind{
+	Magic:     [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '3'},
+	Name:      "index",
+	Unit:      "world",
+	Rebuild:   "sphere -build-index",
+	Layout:    checkLayout,
+	Droppable: true,
+	Decoder: func(nodes uint32, dir []blockfile.BlockInfo) blockfile.Decoder {
+		return func(i int, data []byte) error {
+			_, err := decodeWorld(data, nodes, dir[i].Aux)
+			return err
+		}
+	},
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// maxNodes bounds the header node count before any allocation trusts it;
+// graph-free verification has no graph to cross-check against.
+const maxNodes = 1 << 28
+
+// checkLayout applies the per-entry sanity checks shared by every reader.
+func checkLayout(nodes uint32, dir []blockfile.BlockInfo) error {
+	if nodes == 0 || nodes > maxNodes {
+		return fmt.Errorf("implausible node count %d", nodes)
+	}
+	if len(dir) == 0 {
+		return fmt.Errorf("no worlds")
+	}
+	for i, b := range dir {
+		if b.Aux == 0 || b.Aux > nodes {
+			return fmt.Errorf("world %d has implausible component count %d", i, b.Aux)
+		}
+		// A world block is at least: comps word, comp array, one degree word
+		// per component.
+		if least := 4 + 4*int64(nodes) + 4*int64(b.Aux); int64(b.Len) < least {
+			return fmt.Errorf("world %d block is %d bytes, minimum for %d components is %d", i, b.Len, b.Aux, least)
+		}
+	}
+	return nil
 }
 
 // writeEntry serializes one world record: comps, comp[], then per-component
@@ -89,14 +99,14 @@ func writeEntry(w io.Writer, e *worldEntry) error {
 }
 
 // readEntry parses and validates one world record for a graph with the given
-// node count, rebuilding the members CSR. world is only for error messages.
-func readEntry(br io.Reader, nodes uint32, world int) (worldEntry, error) {
+// node count, rebuilding the members CSR.
+func readEntry(br io.Reader, nodes uint32) (worldEntry, error) {
 	var comps uint32
 	if err := binary.Read(br, binary.LittleEndian, &comps); err != nil {
 		return worldEntry{}, err
 	}
 	if comps == 0 || comps > nodes {
-		return worldEntry{}, fmt.Errorf("index: world %d has implausible component count %d", world, comps)
+		return worldEntry{}, fmt.Errorf("implausible component count %d", comps)
 	}
 	comp := make([]int32, nodes)
 	if err := binary.Read(br, binary.LittleEndian, comp); err != nil {
@@ -104,7 +114,7 @@ func readEntry(br io.Reader, nodes uint32, world int) (worldEntry, error) {
 	}
 	for v, c := range comp {
 		if c < 0 || uint32(c) >= comps {
-			return worldEntry{}, fmt.Errorf("index: world %d: node %d has component %d out of range", world, v, c)
+			return worldEntry{}, fmt.Errorf("node %d has component %d out of range", v, c)
 		}
 	}
 	dag := make(scc.SliceGraph, comps)
@@ -114,7 +124,7 @@ func readEntry(br io.Reader, nodes uint32, world int) (worldEntry, error) {
 			return worldEntry{}, err
 		}
 		if deg > comps {
-			return worldEntry{}, fmt.Errorf("index: world %d: component %d degree %d out of range", world, c, deg)
+			return worldEntry{}, fmt.Errorf("component %d degree %d out of range", c, deg)
 		}
 		if deg > 0 {
 			succs := make([]int32, deg)
@@ -123,7 +133,7 @@ func readEntry(br io.Reader, nodes uint32, world int) (worldEntry, error) {
 			}
 			for _, s := range succs {
 				if s < 0 || uint32(s) >= comps {
-					return worldEntry{}, fmt.Errorf("index: world %d: successor %d out of range", world, s)
+					return worldEntry{}, fmt.Errorf("successor %d out of range", s)
 				}
 			}
 			dag[c] = succs
@@ -132,108 +142,109 @@ func readEntry(br io.Reader, nodes uint32, world int) (worldEntry, error) {
 	return rebuildEntry(comp, int(comps), dag), nil
 }
 
-// WriteTo serializes the index in the current (v03, block-directory)
-// format. A lazily opened index must have every world readable: rewriting
-// an artifact with quarantined worlds would silently drop data, so that is
-// soifsck's job, not WriteTo's.
-func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	ents := make([]*worldEntry, x.NumWorlds())
-	for i := range ents {
-		e := x.world(i)
-		if e == nil {
-			return 0, fmt.Errorf("index: world %d is quarantined or unreadable; repair the source file with soifsck before rewriting it", i)
-		}
-		ents[i] = e
+// decodeWorld decodes one world block, requiring the record to consume the
+// block exactly and to have the directory's component count.
+func decodeWorld(data []byte, nodes, comps uint32) (worldEntry, error) {
+	br := bytes.NewReader(data)
+	e, err := readEntry(br, nodes)
+	if err != nil {
+		return worldEntry{}, err
 	}
-	return writeV3(w, uint32(x.g.NumNodes()), ents)
+	if br.Len() != 0 {
+		return worldEntry{}, fmt.Errorf("%d trailing bytes in block", br.Len())
+	}
+	if uint32(len(e.dag)) != comps {
+		return worldEntry{}, fmt.Errorf("decodes to %d components, directory says %d", len(e.dag), comps)
+	}
+	return e, nil
 }
 
-// Read deserializes an index previously written with WriteTo: the current
-// v03 block-directory format (directory, per-block, and whole-file CRCs all
-// verified — eager reads are strict, quarantine is OpenMmap's behavior),
-// the v02 format (whole-file CRC32-C footer), and the legacy v01 format (no
-// checksum). The graph g must be the same graph the index was built from
-// (node count is checked; deeper mismatches surface as wrong query results,
-// so callers should keep graph and index files paired).
-func Read(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("index: read magic: %w", err)
+// blocks returns one container block per world. A lazily opened index must
+// have every world readable: rewriting an artifact with quarantined worlds
+// would silently drop data, so that is soifsck's job, not the writer's.
+func (x *Index) blocks() ([]blockfile.Block, error) {
+	out := make([]blockfile.Block, x.NumWorlds())
+	for i := range out {
+		e := x.world(i)
+		if e == nil {
+			return nil, fmt.Errorf("index: world %d is quarantined or unreadable; repair the source file with soifsck before rewriting it", i)
+		}
+		out[i] = blockfile.Block{Aux: uint32(len(e.dag)), Encode: func(w io.Writer) error { return writeEntry(w, e) }}
 	}
-	var h hash.Hash32
-	var body io.Reader = br
-	switch m {
-	case magicV1:
-		// Legacy format: no checksum to verify.
-	case magicV2:
-		h = crc32.New(castagnoli)
-		h.Write(m[:]) // the writer hashed the magic too
-		body = io.TeeReader(br, h)
-	case magicV3:
-		return readV3(br, m, g)
-	default:
-		return nil, fmt.Errorf("index: bad magic %q", m[:])
-	}
+	return out, nil
+}
 
-	x, err := readBody(body, g)
+// WriteTo serializes the index as a SOIIDX03 container.
+func (x *Index) WriteTo(w io.Writer) (int64, error) {
+	blocks, err := x.blocks()
+	if err != nil {
+		return 0, err
+	}
+	return blockfile.Write(w, Artifact.Magic, uint32(x.g.NumNodes()), blocks)
+}
+
+// Fingerprint returns a content hash of the index — the graph plus the
+// block directory (offset, length, CRC and component count per world) its
+// file has or would have — cached after the first call. Hashing the
+// directory rather than the decoded worlds makes a built index, the file it
+// saves to, and an eager or mmap load of that file agree, and lets an mmap
+// open fingerprint itself without faulting a block in; the per-block CRCs
+// make it exactly as content-sensitive as hashing the worlds. Downstream
+// checkpointed sweeps key their checkpoints on it, and soid and sketches
+// use it to match artifacts.
+func (x *Index) Fingerprint() uint64 {
+	x.fpOnce.Do(func() {
+		// Only a built index gets here (Read and OpenMmap set the
+		// fingerprint from the directory they verified), and measuring
+		// in-memory worlds only writes to a hash, so neither call can fail.
+		blocks, _ := x.blocks()
+		dir, _ := blockfile.Measure(blocks)
+		x.fp = dirFingerprint(x.g, dir)
+	})
+	return x.fp
+}
+
+func dirFingerprint(g *graph.Graph, dir []blockfile.BlockInfo) uint64 {
+	h := checkpoint.NewHasher().String("index.DirV3").Graph(g).Int(len(dir))
+	for _, b := range dir {
+		h.Uint64(uint64(b.Off)).
+			Uint64(uint64(b.Len)<<32 | uint64(b.CRC)).
+			Uint64(uint64(b.Aux))
+	}
+	return h.Sum()
+}
+
+// setFingerprint installs the fingerprint of a loaded directory.
+func (x *Index) setFingerprint(dir []blockfile.BlockInfo) {
+	x.fpOnce.Do(func() { x.fp = dirFingerprint(x.g, dir) })
+}
+
+// Read deserializes an index previously written with WriteTo, strictly:
+// the directory, every block and the whole-file checksum are verified, and
+// any corruption rejects the file (quarantine is OpenMmap's behavior). The
+// graph g must be the same graph the index was built from (node count is
+// checked; deeper mismatches surface as wrong query results, so callers
+// should keep graph and index files paired).
+func Read(r io.Reader, g *graph.Graph) (*Index, error) {
+	x := &Index{g: g}
+	var dir []blockfile.BlockInfo
+	err := blockfile.Read(r, Artifact, func(nodes uint32, d []blockfile.BlockInfo) (blockfile.Decoder, error) {
+		if int(nodes) != g.NumNodes() {
+			return nil, fmt.Errorf("built for %d nodes, graph has %d", nodes, g.NumNodes())
+		}
+		dir = d
+		x.entries = make([]worldEntry, 0, min(len(d), 4096))
+		return func(i int, data []byte) error {
+			e, err := decodeWorld(data, nodes, d[i].Aux)
+			x.entries = append(x.entries, e)
+			return err
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if h != nil {
-		var stored uint32
-		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("index: read checksum footer: %w", err)
-		}
-		if sum := h.Sum32(); sum != stored {
-			return nil, fmt.Errorf("index: checksum mismatch: file carries %08x, payload hashes to %08x (corrupted index file)", stored, sum)
-		}
-	}
-	// Trailing bytes are rejected for every version, not just the
-	// checksummed ones: a longer-than-parsed file means the artifact and
-	// the reader disagree about its structure, which is corruption even
-	// when the parsed prefix happens to be self-consistent.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("index: trailing data after %d-world payload", x.NumWorlds())
-	}
+	x.setFingerprint(dir)
 	return x, nil
-}
-
-// readBody parses the version-independent payload (everything between magic
-// and footer).
-func readBody(br io.Reader, g *graph.Graph) (*Index, error) {
-	var nodes, nWorlds uint32
-	if err := binary.Read(br, binary.LittleEndian, &nodes); err != nil {
-		return nil, err
-	}
-	if int(nodes) != g.NumNodes() {
-		return nil, fmt.Errorf("index: built for %d nodes, graph has %d", nodes, g.NumNodes())
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nWorlds); err != nil {
-		return nil, err
-	}
-	if nWorlds == 0 || nWorlds > maxWorlds {
-		return nil, fmt.Errorf("index: implausible world count %d", nWorlds)
-	}
-	// Grow incrementally rather than trusting the header: a corrupted world
-	// count then fails on the first missing record instead of allocating
-	// gigabytes up front.
-	x := &Index{g: g, entries: make([]worldEntry, 0, min32u(nWorlds, 4096))}
-	for i := uint32(0); i < nWorlds; i++ {
-		e, err := readEntry(br, nodes, int(i))
-		if err != nil {
-			return nil, err
-		}
-		x.entries = append(x.entries, e)
-	}
-	return x, nil
-}
-
-func min32u(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func rebuildEntry(comp []int32, numComps int, dag scc.SliceGraph) worldEntry {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"soi/internal/blockfile"
@@ -116,7 +117,7 @@ func TestOpenMmapQuarantinesCorruptBlock(t *testing.T) {
 	g, x, p, raw := v3Fixture(t, 221, 6)
 	// Flip one byte in world 2's block.
 	worlds := x.NumWorlds()
-	dir, err := blockfile.ParseDirectory(raw[v3HeaderLen:v3HeaderLen+worlds*blockfile.EntrySize], worlds)
+	dir, err := blockfile.ParseDirectory(raw[blockfile.HeaderLen:blockfile.HeaderLen+worlds*blockfile.EntrySize], worlds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +192,8 @@ func TestOpenMmapQuarantinesCorruptBlock(t *testing.T) {
 func TestOpenMmapEveryBitFlip(t *testing.T) {
 	g, x, _, raw := v3Fixture(t, 231, 2)
 	worlds := x.NumWorlds()
-	blocksStart := v3BlocksStart(worlds)
-	dir, err := blockfile.ParseDirectory(raw[v3HeaderLen:v3HeaderLen+worlds*blockfile.EntrySize], worlds)
+	blocksStart := blockfile.BlocksStart(worlds)
+	dir, err := blockfile.ParseDirectory(raw[blockfile.HeaderLen:blockfile.HeaderLen+worlds*blockfile.EntrySize], worlds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestOpenMmapEveryBitFlip(t *testing.T) {
 func TestV3TruncationEveryBoundary(t *testing.T) {
 	g, x, _, raw := v3Fixture(t, 241, 4)
 	worlds := x.NumWorlds()
-	dir, err := blockfile.ParseDirectory(raw[v3HeaderLen:v3HeaderLen+worlds*blockfile.EntrySize], worlds)
+	dir, err := blockfile.ParseDirectory(raw[blockfile.HeaderLen:blockfile.HeaderLen+worlds*blockfile.EntrySize], worlds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundaries := []int64{0, 8, 12, v3HeaderLen, v3BlocksStart(worlds) - 4}
+	boundaries := []int64{0, 8, 12, blockfile.HeaderLen, blockfile.BlocksStart(worlds) - 4}
 	for _, b := range dir {
 		boundaries = append(boundaries, b.Off, b.Off+int64(b.Len))
 	}
@@ -294,13 +295,37 @@ func TestOpenMmapRejectsLegacyVersions(t *testing.T) {
 	}
 	p := filepath.Join(t.TempDir(), "old.idx")
 	for _, magic := range [][8]byte{magicV1, magicV2} {
-		if err := os.WriteFile(p, writeLegacy(t, x, magic, magic == magicV2), 0o644); err != nil {
+		data := writeLegacy(t, x, magic, magic == magicV2)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenMmap(p, g, MmapOptions{})
-		if !errors.Is(err, ErrVersion) {
-			t.Fatalf("%s: err = %v, want ErrVersion", magic[:], err)
+		_, merr := OpenMmap(p, g, MmapOptions{})
+		_, rerr := Read(bytes.NewReader(data), g)
+		for _, err := range []error{merr, rerr} {
+			if !errors.Is(err, blockfile.ErrCorrupt) || !strings.Contains(err.Error(), "rebuild with sphere -build-index") {
+				t.Fatalf("%s: err = %v, want a bad-magic error naming the rebuild command", magic[:], err)
+			}
 		}
+	}
+}
+
+// TestFingerprintAgreesAcrossLoads: a built index, its saved file loaded
+// eagerly, and the same file memory-mapped carry one fingerprint, so a
+// manifest or sketch keyed on the built index matches what a server
+// loading the file reports.
+func TestFingerprintAgreesAcrossLoads(t *testing.T) {
+	g, x, p, _ := v3Fixture(t, 281, 4)
+	eager, err := LoadFile(p, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lz, err := OpenMmap(p, g, MmapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lz.Close()
+	if built, loaded, mapped := x.Fingerprint(), eager.Fingerprint(), lz.Fingerprint(); built != loaded || loaded != mapped {
+		t.Fatalf("fingerprints differ: built %016x, LoadFile %016x, OpenMmap %016x", built, loaded, mapped)
 	}
 }
 

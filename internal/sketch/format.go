@@ -1,196 +1,184 @@
 package sketch
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 
 	"soi/internal/atomicfile"
+	"soi/internal/blockfile"
 	"soi/internal/fault"
 )
 
-// SOISKC01 on-disk format (little endian):
+// On disk a sketch is a blockfile container (see internal/blockfile) with
+// magic "SOISKC02" and the node count as its size word (little endian):
 //
-//	magic   [8]byte "SOISKC01"
-//	nodes   uint32
-//	worlds  uint32            (source index worlds, quarantined included)
-//	live    uint32            (worlds that contributed ranks)
-//	k       uint32
-//	seed    uint64            (rank-hash seed)
-//	indexFP uint64            (Fingerprint of the source index)
-//	off     [nodes+1]uint32   (CSR offsets; off[0] = 0, non-decreasing,
-//	                           per-node count <= k)
-//	ranks   [off[nodes]]uint64 (strictly ascending within each node)
-//	crc     uint32            CRC32-C (Castagnoli) of every preceding byte
+//	block 0   meta: worlds u32 (source index worlds, quarantined included),
+//	          live u32 (worlds that contributed ranks), k u32,
+//	          seed u64 (rank-hash seed), indexFP u64 (source index Fingerprint)
+//	block 1+r node range r (blockfile.NodeRange), aux = its node count:
+//	          off   [m+1]uint32  range-local CSR offsets, off[0] = 0,
+//	                             non-decreasing, per-node count <= k
+//	          ranks [off[m]]uint64 strictly ascending within each node
 //
 // A sketch is an estimator, so silent corruption would not crash — it
 // would mis-estimate. The reader therefore validates everything it can
-// structurally (offsets, per-node bounds, rank order, trailing bytes) and
-// verifies the checksum unconditionally: a corrupt file fails at open,
-// never at query time.
+// structurally (offsets, per-node bounds, rank order) on top of the
+// container's checksums: a corrupt file fails at open, never at query time.
 
-var sketchMagic = [8]byte{'S', 'O', 'I', 'S', 'K', 'C', '0', '1'}
-
-var sketchCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// WriteTo serializes the sketch in the SOISKC01 format.
-func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	h := crc32.New(sketchCastagnoli)
-	body := io.MultiWriter(bw, h)
-	write := func(v any) error { return binary.Write(body, binary.LittleEndian, v) }
-	if err := write(sketchMagic); err != nil {
-		return cw.n, err
-	}
-	for _, u := range []uint32{uint32(s.nodes), uint32(s.worlds), uint32(s.live), uint32(s.k)} {
-		if err := write(u); err != nil {
-			return cw.n, err
+// Artifact is the sketch's container kind. Sketches in the retired SOISKC01
+// format fail with a bad-magic error naming the rebuild command.
+var Artifact = &blockfile.Kind{
+	Magic:   [8]byte{'S', 'O', 'I', 'S', 'K', 'C', '0', '2'},
+	Name:    "sketch",
+	Unit:    "block",
+	Rebuild: "sphere -index FILE -sketch-out",
+	Layout: func(n uint32, dir []blockfile.BlockInfo) error {
+		if n > maxNodes {
+			return fmt.Errorf("implausible node count %d", n)
 		}
-	}
-	if err := write(s.seed); err != nil {
-		return cw.n, err
-	}
-	if err := write(s.fp); err != nil {
-		return cw.n, err
-	}
-	for _, o := range s.off {
-		if err := write(uint32(o)); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := write(s.ranks); err != nil {
-		return cw.n, err
-	}
-	// Footer: checksum of everything above, itself excluded.
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-		return cw.n, err
-	}
-	return cw.n, bw.Flush()
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+		return blockfile.CheckRanges(n, dir, 1)
+	},
+	Decoder: func(n uint32, dir []blockfile.BlockInfo) blockfile.Decoder { return new(Sketch).decoder(n, dir) },
 }
 
 // maxNodes mirrors the sphere store's plausibility cap.
 const maxNodes = 1 << 28
 
-// Read deserializes a SOISKC01 sketch, verifying structure and checksum.
-// The loaded sketch carries no telemetry; attach one with SetTelemetry.
-func Read(r io.Reader) (*Sketch, error) {
-	br := bufio.NewReader(r)
-	h := crc32.New(sketchCastagnoli)
-	body := io.TeeReader(br, h)
-	var m [8]byte
-	if err := binary.Read(body, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("sketch: read magic: %w", err)
-	}
-	if m != sketchMagic {
-		return nil, fmt.Errorf("sketch: bad magic %q", m[:])
-	}
-	var nodes, worlds, live, k uint32
-	var seed, fp uint64
-	for _, dst := range []any{&nodes, &worlds, &live, &k} {
-		if err := binary.Read(body, binary.LittleEndian, dst); err != nil {
-			return nil, fmt.Errorf("sketch: read header: %w", err)
+const metaLen = 4 + 4 + 4 + 8 + 8
+
+// WriteTo serializes the sketch as a SOISKC02 container.
+func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
+	blocks := make([]blockfile.Block, 1+blockfile.Ranges(s.nodes))
+	blocks[0] = blockfile.Block{Encode: func(w io.Writer) error {
+		b := make([]byte, 0, metaLen)
+		for _, u := range []int{s.worlds, s.live, s.k} {
+			b = binary.LittleEndian.AppendUint32(b, uint32(u))
 		}
+		b = binary.LittleEndian.AppendUint64(b, s.seed)
+		b = binary.LittleEndian.AppendUint64(b, s.fp)
+		_, err := w.Write(b)
+		return err
+	}}
+	for r := range blocks[1:] {
+		lo, hi := blockfile.NodeRange(r, s.nodes)
+		blocks[1+r] = blockfile.Block{Aux: uint32(hi - lo), Encode: func(w io.Writer) error { return s.encodeRange(w, lo, hi) }}
 	}
-	if err := binary.Read(body, binary.LittleEndian, &seed); err != nil {
-		return nil, fmt.Errorf("sketch: read header: %w", err)
-	}
-	if err := binary.Read(body, binary.LittleEndian, &fp); err != nil {
-		return nil, fmt.Errorf("sketch: read header: %w", err)
-	}
-	if nodes > maxNodes {
-		return nil, fmt.Errorf("sketch: implausible node count %d", nodes)
-	}
-	if live > worlds {
-		return nil, fmt.Errorf("sketch: live worlds %d exceed total %d", live, worlds)
-	}
-	if k < 2 {
-		return nil, fmt.Errorf("sketch: k %d below minimum 2", k)
-	}
-	// Never trust the header for large allocations: grow incrementally so a
-	// corrupted count fails on the first missing record instead of OOMing.
-	off := make([]int32, 0, minU32(nodes+1, 1<<16))
-	prev := uint32(0)
-	for v := uint32(0); v <= nodes; v++ {
-		var o uint32
-		if err := binary.Read(body, binary.LittleEndian, &o); err != nil {
-			return nil, fmt.Errorf("sketch: read offsets: %w", err)
-		}
-		if v == 0 && o != 0 {
-			return nil, fmt.Errorf("sketch: first offset %d, want 0", o)
-		}
-		if o < prev {
-			return nil, fmt.Errorf("sketch: offsets not monotone at node %d", v)
-		}
-		if o-prev > k {
-			return nil, fmt.Errorf("sketch: node %d holds %d ranks, more than k=%d", v-1, o-prev, k)
-		}
-		if o > math.MaxInt32 {
-			return nil, fmt.Errorf("sketch: offset %d overflows", o)
-		}
-		prev = o
-		off = append(off, int32(o))
-	}
-	total := off[nodes]
-	ranks := make([]uint64, 0, minU32(uint32(total), 1<<16))
-	v := uint32(0) // node owning the rank being read, for error messages
-	var last uint64
-	for i := int32(0); i < total; i++ {
-		var rk uint64
-		if err := binary.Read(body, binary.LittleEndian, &rk); err != nil {
-			return nil, fmt.Errorf("sketch: read ranks: %w", err)
-		}
-		for off[v+1] <= i {
-			v++
-		}
-		if i > off[v] && rk <= last {
-			return nil, fmt.Errorf("sketch: node %d ranks not strictly ascending", v)
-		}
-		last = rk
-		ranks = append(ranks, rk)
-	}
-	var stored uint32
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("sketch: read checksum footer: %w", err)
-	}
-	if sum := h.Sum32(); sum != stored {
-		return nil, fmt.Errorf("sketch: checksum mismatch: file carries %08x, payload hashes to %08x (corrupted sketch)", stored, sum)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("sketch: trailing data after checksum footer")
-	}
-	return &Sketch{
-		nodes:  int(nodes),
-		worlds: int(worlds),
-		live:   int(live),
-		k:      int(k),
-		seed:   seed,
-		fp:     fp,
-		off:    off,
-		ranks:  ranks,
-	}, nil
+	return blockfile.Write(w, Artifact.Magic, uint32(s.nodes), blocks)
 }
 
-func minU32(a, b uint32) uint32 {
-	if a < b {
-		return a
+// encodeRange writes the block of nodes [lo, hi): at most RangeNodes·k
+// ranks, so it is built in memory and written at once.
+func (s *Sketch) encodeRange(w io.Writer, lo, hi int) error {
+	base := s.off[lo]
+	b := make([]byte, 0, 4*(hi-lo+1)+8*int(s.off[hi]-base))
+	for v := lo; v <= hi; v++ {
+		b = binary.LittleEndian.AppendUint32(b, uint32(s.off[v]-base))
 	}
-	return b
+	for _, rk := range s.ranks[base:s.off[hi]] {
+		b = binary.LittleEndian.AppendUint64(b, rk)
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// decoder returns the container decoder that fills s from the blocks of an
+// n-node sketch: the meta block first, then the node ranges in order.
+func (s *Sketch) decoder(n uint32, dir []blockfile.BlockInfo) blockfile.Decoder {
+	s.nodes = int(n)
+	s.off = make([]int32, 1, min(n+1, 1<<16))
+	// Size the rank array from the directory, so decoding does not leave a
+	// trail of grown copies behind; the cap bounds what a forged directory
+	// can make a streaming read allocate before its blocks fail to arrive.
+	var total int64
+	for _, b := range dir[1:] {
+		total += (int64(b.Len) - 4*(int64(b.Aux)+1)) / 8
+	}
+	s.ranks = make([]uint64, 0, max(0, min(total, 1<<20)))
+	return func(i int, data []byte) error {
+		if i == 0 {
+			return s.decodeMeta(data)
+		}
+		lo, hi := blockfile.NodeRange(i-1, s.nodes)
+		return s.decodeRange(data, hi-lo)
+	}
+}
+
+func (s *Sketch) decodeMeta(data []byte) error {
+	if len(data) != metaLen {
+		return fmt.Errorf("meta block is %d bytes, want %d", len(data), metaLen)
+	}
+	le := binary.LittleEndian
+	worlds, live, k := le.Uint32(data), le.Uint32(data[4:]), le.Uint32(data[8:])
+	if live > worlds {
+		return fmt.Errorf("live worlds %d exceed total %d", live, worlds)
+	}
+	if k < 2 {
+		return fmt.Errorf("k %d below minimum 2", k)
+	}
+	s.worlds, s.live, s.k = int(worlds), int(live), int(k)
+	s.seed, s.fp = le.Uint64(data[12:]), le.Uint64(data[20:])
+	return nil
+}
+
+// decodeRange validates one node-range block of m nodes and appends it to
+// the CSR. The per-node bound is checked against k when the meta block was
+// readable (fsck decodes the ranges of a file whose meta block is corrupt).
+func (s *Sketch) decodeRange(data []byte, m int) error {
+	if len(data) < 4*(m+1) {
+		return fmt.Errorf("block is %d bytes, too short for %d offsets", len(data), m+1)
+	}
+	le := binary.LittleEndian
+	if o := le.Uint32(data); o != 0 {
+		return fmt.Errorf("first offset %d, want 0", o)
+	}
+	base := int64(s.off[len(s.off)-1])
+	var prev uint32
+	for j := 1; j <= m; j++ {
+		o := le.Uint32(data[4*j:])
+		if o < prev {
+			return fmt.Errorf("offsets not monotone at node %d of the range", j)
+		}
+		if s.k > 0 && o-prev > uint32(s.k) {
+			return fmt.Errorf("node %d of the range holds %d ranks, more than k=%d", j-1, o-prev, s.k)
+		}
+		if base+int64(o) > math.MaxInt32 {
+			return fmt.Errorf("offset %d overflows", base+int64(o))
+		}
+		prev = o
+	}
+	ranks := data[4*(m+1):]
+	if uint64(len(ranks)) != 8*uint64(prev) {
+		return fmt.Errorf("block holds %d rank bytes, offsets promise %d", len(ranks), 8*uint64(prev))
+	}
+	for j := 0; j < m; j++ {
+		from, to := le.Uint32(data[4*j:]), le.Uint32(data[4*j+4:])
+		for i := from; i < to; i++ {
+			rk := le.Uint64(ranks[8*i:])
+			if i > from && rk <= s.ranks[len(s.ranks)-1] {
+				return fmt.Errorf("node %d of the range: ranks not strictly ascending", j)
+			}
+			s.ranks = append(s.ranks, rk)
+		}
+		s.off = append(s.off, int32(base)+int32(to))
+	}
+	return nil
+}
+
+// Read deserializes a sketch, verifying the container checksums and the
+// sketch's structure. The loaded sketch carries no telemetry; attach one
+// with SetTelemetry.
+func Read(r io.Reader) (*Sketch, error) {
+	s := new(Sketch)
+	err := blockfile.Read(r, Artifact, func(n uint32, dir []blockfile.BlockInfo) (blockfile.Decoder, error) {
+		return s.decoder(n, dir), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // SaveFile writes the sketch to path atomically (temp file + rename +
@@ -205,7 +193,7 @@ func (s *Sketch) SaveFile(path string) error {
 	})
 }
 
-// LoadFile reads a SOISKC01 sketch from path.
+// LoadFile reads a sketch from path.
 func LoadFile(path string) (*Sketch, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"soi/internal/blockfile"
 	"soi/internal/fault"
 	"soi/internal/graph"
 )
@@ -86,10 +87,10 @@ func TestSaveFileFaultInjection(t *testing.T) {
 	}
 }
 
-// TestReadDetectsEveryBitFlip mirrors the index v03 guarantee for SOISKC01:
+// TestReadDetectsEveryBitFlip mirrors the index guarantee for sketches:
 // a sketch is an estimator, so undetected corruption would silently
 // mis-estimate rather than crash. Every single-bit corruption of a valid
-// file must therefore be rejected at open — the CRC32-C footer catches the
+// file must therefore be rejected at open — the CRC32-C checksums catch the
 // flips the structural validators cannot.
 func TestReadDetectsEveryBitFlip(t *testing.T) {
 	var buf bytes.Buffer
@@ -139,5 +140,29 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestFormatNodeRanges round-trips a sketch spanning several node-range
+// blocks, including a short last range.
+func TestFormatNodeRanges(t *testing.T) {
+	g := randomGraph(t, 2*blockfile.RangeNodes+40, 0.004, 9)
+	s, err := Build(buildIndex(t, g, 4, 19), Options{K: 8, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if rep := blockfile.Verify(buf.Bytes(), Artifact); !rep.Clean() || len(rep.Blocks) != 1+3 {
+		t.Fatalf("report %+v, want a clean meta block plus 3 node ranges", rep)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.off, s.off) || !reflect.DeepEqual(got.ranks, s.ranks) {
+		t.Fatal("payload mismatch after round trip")
 	}
 }

@@ -178,7 +178,7 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 		total += int(cnt[v])
 	}
 	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("sketch: %d ranks overflow the SOISKC01 offset space; lower k", total)
+		return nil, fmt.Errorf("sketch: %d ranks overflow the sketch offset space; lower k", total)
 	}
 	s := &Sketch{
 		nodes:  n,

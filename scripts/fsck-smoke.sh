@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Corruption-repair smoke test for the SOIIDX03 pipeline: build an index on
-# disk, flip a byte inside one world block with dd, assert soifsck pinpoints
-# exactly that block, serve the corrupt file with soid -mmap and observe
-# degraded 206 answers (worlds_quarantined + widened error_bound), repair
-# the file with soifsck -repair, and assert the repaired file serves 200.
+# Corruption-repair smoke test for the artifact container: build an index
+# on disk, flip a byte inside one world block with dd, assert soifsck
+# pinpoints exactly that block, serve the corrupt file with soid -mmap and
+# observe degraded 206 answers (worlds_quarantined + widened error_bound),
+# repair the file with soifsck -repair, and assert the repaired file serves
+# 200. Then the same verify-and-pinpoint path for a sphere store and a
+# sketch, and soid refusing to start on the corrupt store.
 #
 # Run via `make fsck-smoke`. Requires only the go toolchain and curl.
 set -euo pipefail
@@ -134,4 +136,52 @@ code="$(get_code '/v1/info')"
 grep -q '"worlds_quarantined":0' "$work/body" || { cat "$work/body" >&2; fail "repaired index still reports quarantines"; }
 grep -q '"worlds":199' "$work/body" || { cat "$work/body" >&2; fail "repaired index world count wrong"; }
 stop_soid
+echo "fsck-smoke: repaired index serves 200"
+
+# --- sphere store and sketch: one verify path for every artifact kind -----
+# flip_block FILE N: flip the byte in the middle of block N, located from
+# soifsck -v's "block N: off=X len=Y" line.
+flip_block() {
+  local off len target orig
+  read -r off len < <("$work/soifsck" -v "$1" 2>&1 \
+    | awk -v n="$2" 'match($0, "block " n ": off=[0-9]+ len=[0-9]+") {
+        s = substr($0, RSTART, RLENGTH);
+        split(s, a, /[= ]/); print a[4], a[6] }')
+  [ -n "$off" ] && [ -n "$len" ] || fail "could not locate block $2 of $1 in soifsck -v output"
+  target=$((off + len / 2))
+  orig=$(dd if="$1" bs=1 skip="$target" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+  printf "$(printf '\\%03o' $((orig ^ 255)))" \
+    | dd of="$1" bs=1 seek="$target" count=1 conv=notrunc 2>/dev/null
+}
+
+echo "fsck-smoke: building a sphere store and a sketch"
+"$work/sphere" -graph "$work/g.tsv" -index "$work/fixed.idx" -all -store "$work/g.spheres" > /dev/null
+"$work/sphere" -graph "$work/g.tsv" -index "$work/fixed.idx" -sketch-out "$work/g.sketch" > /dev/null
+for f in g.spheres g.sketch; do
+  "$work/soifsck" "$work/$f" 2> "$work/fsck-$f.log" \
+    || { cat "$work/fsck-$f.log" >&2; fail "soifsck rejected a fresh $f"; }
+  grep -q "clean (" "$work/fsck-$f.log" || fail "no clean verdict for $f"
+done
+echo "fsck-smoke: fresh sphere store and sketch verify clean"
+
+# The store's first node range is block 0; the sketch's is block 1 (block 0
+# holds its meta fields).
+for spec in "g.spheres 0" "g.sketch 1"; do
+  set -- $spec
+  flip_block "$work/$1" "$2"
+  code=0; "$work/soifsck" "$work/$1" 2> "$work/fsck-$1-bad.log" || code=$?
+  [ "$code" = 1 ] || { cat "$work/fsck-$1-bad.log" >&2; fail "soifsck exited $code on a corrupt $1, want 1"; }
+  grep -q "block $2: .*CORRUPT" "$work/fsck-$1-bad.log" \
+    || { cat "$work/fsck-$1-bad.log" >&2; fail "block $2 of $1 not flagged"; }
+done
+echo "fsck-smoke: soifsck pinpointed the corrupt store and sketch blocks"
+
+# --- soid refuses to start on the corrupt store ----------------------------
+code=0
+"$work/soid" -graph "$work/g.tsv" -index "$work/fixed.idx" -spheres "$work/g.spheres" \
+  -addr 127.0.0.1:0 -addr-file "$work/addr-bad" 2> "$work/soid-bad.log" || code=$?
+[ "$code" != 0 ] || fail "soid started on a corrupt sphere store"
+grep -q "sphere store" "$work/soid-bad.log" || { cat "$work/soid-bad.log" >&2; fail "soid's refusal does not name the store"; }
+sed 's/^/  /' "$work/soid-bad.log" | tail -1
+echo "fsck-smoke: soid refused the corrupt sphere store (exit $code)"
 echo "fsck-smoke: PASS"
