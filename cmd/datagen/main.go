@@ -31,6 +31,7 @@ import (
 	"soi/internal/cliutil"
 	"soi/internal/datasets"
 	"soi/internal/graph"
+	"soi/internal/trace"
 )
 
 func main() {
@@ -99,8 +100,9 @@ func run(ctx context.Context, names []string, scale float64, seed uint64, outDir
 	mDatasets := tel.Counter("datagen.datasets_generated")
 	mNodes := tel.Counter("datagen.nodes_written")
 	mEdges := tel.Counter("datagen.edges_written")
-	sp := tel.StartSpan("datagen.generate")
-	defer sp.End()
+	generated := 0
+	_, sp := trace.StartChild(rt.Context(ctx), "datagen.generate")
+	defer func() { sp.EndUnits(int64(generated)) }()
 	fp := fingerprint(names, scale, seed)
 	done := checkpoint.NewBitmap(len(names))
 	if ckptPath != "" {
@@ -124,7 +126,6 @@ func run(ctx context.Context, names []string, scale float64, seed uint64, outDir
 	if deadline > 0 {
 		stopAt = time.Now().Add(deadline)
 	}
-	generated := 0
 	for i, n := range names {
 		if done.Get(i) {
 			continue
@@ -165,7 +166,6 @@ func run(ctx context.Context, names []string, scale float64, seed uint64, outDir
 		mDatasets.Inc()
 		mNodes.Add(int64(d.Graph.NumNodes()))
 		mEdges.Add(int64(d.Graph.NumEdges()))
-		sp.AddUnits(1)
 		if ckptPath != "" {
 			if err := checkpoint.Save(ckptPath, fp, done, nil); err != nil {
 				return err

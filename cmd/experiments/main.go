@@ -73,7 +73,7 @@ func main() {
 		Seed:          *seed,
 		Out:           os.Stdout,
 		Err:           os.Stderr,
-		Ctx:           ctx,
+		Ctx:           rt.Context(ctx),
 		CheckpointDir: *ckptDir,
 		Telemetry:     rt.Registry,
 	}

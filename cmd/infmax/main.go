@@ -31,6 +31,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/stats"
+	"soi/internal/trace"
 )
 
 func main() {
@@ -67,6 +68,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 	if graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
+	ctx = rt.Context(ctx)
 	g, orig, err := graph.LoadFile(graphPath)
 	if err != nil {
 		return err
@@ -137,7 +139,11 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 			}
 			return infmax.TC(ctx, g, sp, k, infmax.TCOptions{Telemetry: tel})
 		case "std":
-			return infmax.Std(x, k)
+			// Std takes no context; its phase span is opened here.
+			_, sp := trace.StartChild(ctx, "infmax.std.greedy")
+			sel, err := infmax.Std(x, k)
+			sp.EndUnits(int64(len(sel.Seeds)))
+			return sel, err
 		case "rr":
 			cfg := resume(".rr")
 			sel, err := cliutil.RetryStale("infmax", cfg.Path, func() (infmax.Selection, error) {

@@ -37,6 +37,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/sketch"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 func main() {
@@ -88,6 +89,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	if graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
+	ctx = rt.Context(ctx)
 	g, orig, err := graph.LoadFile(graphPath)
 	if err != nil {
 		return err
@@ -151,7 +153,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		if sketchOut != "" {
 			// A built index carries the fingerprint of the file it saves
 			// to, so the sketch is keyed to the artifact soid will load.
-			return saveSketch(x, sketchOut, sketchK, seed, tel)
+			return saveSketch(ctx, x, sketchOut, sketchK, seed, tel)
 		}
 		return nil
 	}
@@ -159,7 +161,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		if indexPath == "" {
 			return fmt.Errorf("-sketch-out requires -index or -build-index: the sketch is fingerprint-keyed to an index file")
 		}
-		return saveSketch(x, sketchOut, sketchK, seed, tel)
+		return saveSketch(ctx, x, sketchOut, sketchK, seed, tel)
 	}
 
 	// The report is buffered and flushed at the end: with -out it is then
@@ -263,9 +265,12 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 // saveSketch builds the combined bottom-k sketch over x's worlds and writes
 // it as a SOISKC02 file, keyed to x's fingerprint — which is the
 // fingerprint of x's index file, so soid -sketch accepts the sketch
-// alongside soid -index of that file.
-func saveSketch(x *index.Index, path string, k int, seed uint64, tel *telemetry.Registry) error {
+// alongside soid -index of that file. The build is timed as the
+// "sketch.build" phase, in worlds.
+func saveSketch(ctx context.Context, x *index.Index, path string, k int, seed uint64, tel *telemetry.Registry) error {
+	_, sp := trace.StartChild(ctx, "sketch.build")
 	sk, err := sketch.Build(x, sketch.Options{K: k, Seed: seed, Telemetry: tel})
+	sp.EndUnits(int64(x.NumWorlds()))
 	if err != nil {
 		return err
 	}

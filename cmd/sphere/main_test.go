@@ -170,8 +170,17 @@ func TestRunStatsJSON(t *testing.T) {
 	if rep.Counters["core.spheres_computed"] != 40 {
 		t.Fatalf("core.spheres_computed = %d", rep.Counters["core.spheres_computed"])
 	}
-	if len(rep.Spans) == 0 {
-		t.Fatal("no spans recorded")
+	// The phases run under the CLI's root trace span and report as
+	// top-level spans, each with its unit count: 30 worlds, 40 nodes.
+	units := map[string]int64{}
+	for _, sp := range rep.Spans {
+		if sp.Running || sp.Seconds <= 0 {
+			t.Errorf("span %+v not ended", sp)
+		}
+		units[sp.Name] = sp.Units
+	}
+	if len(rep.Spans) != 2 || units["index.build"] != 30 || units["core.compute_all"] != 40 {
+		t.Fatalf("spans = %+v, want index.build (30 units) and core.compute_all (40 units)", rep.Spans)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/pool"
 	"soi/internal/rng"
+	"soi/internal/trace"
 )
 
 // ExpectedSpreadResumable estimates σ(seeds) by Monte Carlo over trials
@@ -18,8 +19,9 @@ import (
 // check ctx between simulations, so a canceled context returns ctx.Err()
 // promptly; worker panics are recovered into a *pool.PanicError. cfg.Telemetry
 // (nil allowed) receives per-trial cascade sizes (cascade.size), a trial
-// counter (cascade.trials), pool utilization, and a
-// "cascade.expected_spread" span. A zero cfg is the plain estimate.
+// counter (cascade.trials) and pool utilization; the
+// "cascade.expected_spread" span opens under the trace span in ctx. A zero
+// cfg is the plain estimate.
 //
 // With cfg.Path set, the per-trial cascade sizes are summed into a
 // checkpoint (an order-independent integer total plus the completed-trial
@@ -65,7 +67,8 @@ func ExpectedSpreadResumable(ctx context.Context, g *graph.Graph, seeds []graph.
 	tel := cfg.Telemetry
 	mTrials := tel.Counter("cascade.trials")
 	mSize := tel.Histogram("cascade.size")
-	sp := tel.StartSpan("cascade.expected_spread")
+	simulated := make(pool.Counts, w) // trials run this call, for the span
+	_, sp := trace.StartChild(ctx, "cascade.expected_spread")
 	runErr := pool.Run(ctx, trials, pool.Options{Workers: w, Telemetry: tel}, func(worker, i int) error {
 		if resumed.Get(i) {
 			return nil
@@ -82,11 +85,11 @@ func ExpectedSpreadResumable(ctx context.Context, g *graph.Graph, seeds []graph.
 		sums[i] = int32(size)
 		mTrials.Inc()
 		mSize.Observe(int64(size))
-		sp.AddUnits(1)
+		simulated[worker]++
 		r.MarkDone(i, nil)
 		return nil
 	})
-	sp.End()
+	sp.EndUnits(simulated.Total())
 
 	var mean float64
 	err = r.Settle(runErr, func(partial *checkpoint.Bitmap) error {

@@ -345,13 +345,6 @@ func (f *Hasher) String(s string) *Hasher {
 	return f
 }
 
-// Int32s feeds a length-prefixed int32 slice.
-func (f *Hasher) Int32s(v []int32) *Hasher {
-	f.Int(len(v))
-	binary.Write(f.w, binary.LittleEndian, v)
-	return f
-}
-
 // Nodes feeds a node-id slice.
 func (f *Hasher) Nodes(ids []graph.NodeID) *Hasher {
 	f.Int(len(ids))

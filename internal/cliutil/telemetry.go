@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -10,13 +11,15 @@ import (
 	"soi/internal/graph"
 	"soi/internal/httpapi"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // RunTelemetry is a command's telemetry lifecycle: an optional metrics
 // registry (nil when neither -debug-addr nor -stats-json was given — all
-// instrumentation downstream then no-ops), an optional debug HTTP server,
-// and an exactly-once final report flush that runs on every exit path,
-// including Fail's os.Exit shortcuts.
+// instrumentation downstream then no-ops), a root trace span that the
+// library phases (index.build, core.compute_all, ...) open their spans
+// under, an optional debug HTTP server, and an exactly-once final report
+// flush that runs on every exit path, including Fail's os.Exit shortcuts.
 type RunTelemetry struct {
 	// Tool is the command name, used in stderr notices.
 	Tool string
@@ -25,6 +28,7 @@ type RunTelemetry struct {
 	Registry *telemetry.Registry
 
 	statsPath string
+	root      *trace.Span
 	server    *telemetry.DebugServer
 	flushOnce sync.Once
 }
@@ -41,6 +45,9 @@ func StartTelemetry(tool, debugAddr, statsPath string) (*RunTelemetry, error) {
 	}
 	t.Registry = telemetry.New()
 	t.Registry.SetTool(tool)
+	// The run is one trace whose root the phases nest under; Flush reports
+	// its subtree.
+	_, t.root = trace.StartRun(context.Background(), tool)
 	telemetry.PublishExpvar("soi", t.Registry)
 	if debugAddr != "" {
 		srv, err := telemetry.Serve(debugAddr, t.Registry)
@@ -53,9 +60,21 @@ func StartTelemetry(tool, debugAddr, statsPath string) (*RunTelemetry, error) {
 	return t, nil
 }
 
-// Flush writes the final report exactly once: the JSON report to the
-// -stats-json path (atomically), the human-readable table to stderr, and
-// shuts down the debug server. Safe to call multiple times and on a
+// Context returns ctx carrying the run's root span, so every library phase
+// started under it lands in the report's span tree. ctx is returned
+// unchanged when telemetry is disabled.
+func (t *RunTelemetry) Context(ctx context.Context) context.Context {
+	if t.root == nil {
+		return ctx
+	}
+	return trace.ContextWithSpan(ctx, t.root)
+}
+
+// Flush writes the final report exactly once: it ends the root span, fills
+// the report's spans from the phases run under it (a phase cut short by a
+// failure renders as running), writes the JSON report to the -stats-json
+// path (atomically) and the human-readable table to stderr, and shuts down
+// the debug server. Safe to call multiple times and on a
 // disabled (Registry == nil) lifecycle. Flush failures are reported on
 // stderr but never change the command's exit code — telemetry must not turn
 // a successful run into a failed one.
@@ -64,7 +83,9 @@ func (t *RunTelemetry) Flush() {
 		if t.Registry == nil {
 			return
 		}
+		t.root.End()
 		rep := t.Registry.Report()
+		rep.Spans = t.root.Phases()
 		httpapi.WriteReport(t.Tool, t.statsPath, rep)
 		rep.WriteTable(os.Stderr)
 		if t.server != nil {

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 func TestStartTelemetryDisabled(t *testing.T) {
@@ -17,6 +19,10 @@ func TestStartTelemetryDisabled(t *testing.T) {
 	}
 	if rt.Registry != nil {
 		t.Fatal("disabled lifecycle has a registry")
+	}
+	ctx := context.Background()
+	if rt.Context(ctx) != ctx {
+		t.Fatal("disabled lifecycle wrapped the context")
 	}
 	rt.Flush() // must be a safe no-op
 	rt.GraphHash(nil)
@@ -35,6 +41,10 @@ func TestFlushWritesReport(t *testing.T) {
 		t.Fatal("stats-json alone should enable telemetry")
 	}
 	rt.Registry.Counter("x.count").Add(7)
+	// A phase opened under the run's context lands in the report's spans,
+	// a top-level entry with its units.
+	_, sp := trace.StartChild(rt.Context(context.Background()), "phase.one")
+	sp.EndUnits(3)
 	rt.Flush()
 	rt.Flush() // idempotent
 
@@ -54,6 +64,9 @@ func TestFlushWritesReport(t *testing.T) {
 	}
 	if rep.Counters["x.count"] != 7 {
 		t.Fatalf("counter = %d", rep.Counters["x.count"])
+	}
+	if len(rep.Spans) != 1 || rep.Spans[0].Name != "phase.one" || rep.Spans[0].Units != 3 || rep.Spans[0].Running {
+		t.Fatalf("spans = %+v", rep.Spans)
 	}
 }
 

@@ -152,8 +152,9 @@ type Options struct {
 	Model index.Model
 	// Telemetry, if non-nil, receives sphere metrics (spheres computed,
 	// sphere sizes, median candidate evaluations, refinement deltas, median
-	// and cost-estimate timings) plus a "core.compute_all" span. When nil,
-	// the registry attached to the index (if any) is used instead.
+	// and cost-estimate timings). When nil, the registry attached to the
+	// index (if any) is used instead. ComputeAllResumable's
+	// "core.compute_all" span opens under the trace span in its ctx.
 	Telemetry *telemetry.Registry
 }
 

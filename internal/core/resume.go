@@ -13,6 +13,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/pool"
 	"soi/internal/rng"
+	"soi/internal/trace"
 )
 
 // ComputeAllResumable computes the typical cascade of every node (Algorithm
@@ -59,7 +60,8 @@ func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg 
 	// threads it into resumable paths) or on the index.
 	tel := cmp.Or(opts.Telemetry, cfg.Telemetry, x.Telemetry())
 	m := newMetricsSet(tel)
-	sp := tel.StartSpan("core.compute_all")
+	computed := make(pool.Counts, workers) // nodes computed this run, for the span
+	_, sp := trace.StartChild(ctx, "core.compute_all")
 	runErr := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
 		func(worker, task int) error {
 			if resumed.Get(task) {
@@ -81,11 +83,11 @@ func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg 
 				o.CostSeed = rng.Mix64(opts.CostSeed ^ uint64(v))
 			}
 			out[v] = computeWithScratch(x, []graph.NodeID{v}, o, s, m)
-			sp.AddUnits(1)
+			computed[worker]++
 			r.MarkDone(task, nil)
 			return nil
 		})
-	sp.End()
+	sp.EndUnits(computed.Total())
 
 	// Results stay indexed by node id whether or not every node completed.
 	var res []Result

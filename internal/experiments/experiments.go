@@ -69,9 +69,10 @@ type Config struct {
 	// Err receives resume and partial-result notices (they never go to Out,
 	// which carries the tables); nil discards them.
 	Err io.Writer
-	// Telemetry, if non-nil, receives metrics and spans from every compute
-	// phase the experiments drive (world sampling, index builds, greedy
-	// selections, Monte-Carlo evaluation).
+	// Telemetry, if non-nil, receives metrics from every compute phase the
+	// experiments drive (world sampling, index builds, greedy selections,
+	// Monte-Carlo evaluation). The phases' spans open under the trace span
+	// in Ctx, if any.
 	Telemetry *telemetry.Registry
 }
 
@@ -182,7 +183,7 @@ func (c *Config) mcOptions() infmax.MCOptions {
 
 // stdMC runs the paper's InfMax_std (Monte-Carlo CELF greedy).
 func (c *Config) stdMC(g *graph.Graph) (infmax.Selection, error) {
-	return infmax.StdMC(g, c.K, c.mcOptions())
+	return infmax.StdMCCtx(c.ctx(), g, c.K, c.mcOptions())
 }
 
 // Runner dispatches an experiment by its paper identifier.
@@ -240,9 +241,15 @@ func Extensions() []string {
 }
 
 // spheresAndResults computes all typical cascades for a dataset and adapts
-// them for the max-cover method.
-func spheresAndResults(x *index.Index, costSamples int, seed uint64) ([]core.Result, infmax.Spheres) {
-	results := core.ComputeAll(x, core.Options{CostSamples: costSamples, CostSeed: seed})
+// them for the max-cover method. The sweep runs to completion, as
+// core.ComputeAll does, but under ctx's trace span, so it is timed as the
+// run's core.compute_all phase.
+func spheresAndResults(ctx context.Context, x *index.Index, costSamples int, seed uint64) ([]core.Result, infmax.Spheres) {
+	results, err := core.ComputeAllResumable(context.WithoutCancel(ctx), x,
+		core.Options{CostSamples: costSamples, CostSeed: seed}, checkpoint.Config{})
+	if err != nil {
+		panic(err) // only a recovered worker panic gets here
+	}
 	spheres := make(infmax.Spheres, len(results))
 	for v := range results {
 		spheres[v] = results[v].Set

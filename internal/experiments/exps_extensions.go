@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"soi/internal/cascade"
@@ -111,11 +110,11 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
+		_, spheres := spheresAndResults(cfg.ctx(), x, 0, cfg.Seed)
 		run := func(m string) (infmax.Selection, error) {
 			switch m {
 			case "tc":
-				return infmax.TC(context.Background(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
+				return infmax.TC(cfg.ctx(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
 			case "std":
 				return infmax.Std(x, cfg.K)
 			case "std-celf++":

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"soi/internal/core"
@@ -73,8 +72,8 @@ func fig6One(cfg Config, name string, g *graph.Graph) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, spheres := spheresAndResults(x, 0, cfg.Seed)
-	tcSel, err := infmax.TC(context.Background(), g, spheres, cfg.K, infmax.TCOptions{})
+	_, spheres := spheresAndResults(cfg.ctx(), x, 0, cfg.Seed)
+	tcSel, err := infmax.TC(cfg.ctx(), g, spheres, cfg.K, infmax.TCOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +168,7 @@ func Fig7(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
+		_, spheres := spheresAndResults(cfg.ctx(), x, 0, cfg.Seed)
 		ptsTC, _, err := infmax.SaturationTC(d.Graph, spheres, cfg.K, rank)
 		if err != nil {
 			return nil, err
@@ -239,8 +238,8 @@ func Fig8(cfg Config) ([]Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
-		tcSel, err := infmax.TC(context.Background(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
+		_, spheres := spheresAndResults(cfg.ctx(), x, 0, cfg.Seed)
+		tcSel, err := infmax.TC(cfg.ctx(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +308,7 @@ func Fig7Shared(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
+		_, spheres := spheresAndResults(cfg.ctx(), x, 0, cfg.Seed)
 		ptsTC, _, err := infmax.SaturationTC(d.Graph, spheres, cfg.K, rank)
 		if err != nil {
 			return nil, err

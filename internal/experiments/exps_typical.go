@@ -38,7 +38,7 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 			return nil, err
 		}
 		var total float64
-		results, _ := spheresAndResults(x, cfg.EvalSamples, cfg.Seed)
+		results, _ := spheresAndResults(cfg.ctx(), x, cfg.EvalSamples, cfg.Seed)
 		medTimes := make([]float64, len(results))
 		costTimes := make([]float64, len(results))
 		for i := range results {
@@ -97,7 +97,7 @@ func Fig5(cfg Config) ([]Fig5Bucket, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, _ := spheresAndResults(x, cfg.EvalSamples, cfg.Seed)
+		results, _ := spheresAndResults(cfg.ctx(), x, cfg.EvalSamples, cfg.Seed)
 		sizes := make([]float64, len(results))
 		costs := make([]float64, len(results))
 		for i := range results {

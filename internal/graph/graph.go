@@ -146,21 +146,6 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// FromEdges builds a graph with n nodes directly from an edge list.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	b := NewBuilder(n)
-	b.edges = append(b.edges, edges...)
-	for _, e := range edges {
-		if int(e.From) >= b.n {
-			b.n = int(e.From) + 1
-		}
-		if int(e.To) >= b.n {
-			b.n = int(e.To) + 1
-		}
-	}
-	return b.Build()
-}
-
 // NumNodes returns the number of nodes N; valid IDs are 0..N-1.
 func (g *Graph) NumNodes() int { return g.n }
 

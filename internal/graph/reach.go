@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Traversal helpers over the deterministic topology (probabilities ignored).
 // They are primarily reference implementations used to validate the faster
 // index-based machinery, plus building blocks for deterministic queries.
@@ -34,7 +36,7 @@ func (g *Graph) ReachableInto(src NodeID, visited []bool, out []NodeID) []NodeID
 	for _, v := range out[start:] {
 		visited[v] = false
 	}
-	sortNodeIDs(out[start:])
+	slices.Sort(out[start:])
 	return out
 }
 
@@ -62,23 +64,6 @@ func (g *Graph) ReachableFromSet(srcs []NodeID) []NodeID {
 			}
 		}
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortNodeIDs(s []NodeID) {
-	// Insertion sort for short slices, pdq-style fallback via sort for long.
-	if len(s) < 32 {
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return
-	}
-	sortInt32s(s)
 }

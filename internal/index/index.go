@@ -67,9 +67,10 @@ type Options struct {
 	// Model selects IC (default) or LT live-edge sampling.
 	Model Model
 	// Telemetry, if non-nil, receives build metrics (worlds sampled, SCC
-	// condensation sizes, per-world build timings, pool utilization) and an
-	// "index.build" phase span. The registry is retained on the built Index
-	// so query-time consumers (greedy selection) meter against it too.
+	// condensation sizes, per-world build timings, pool utilization). The
+	// registry is retained on the built Index so query-time consumers
+	// (greedy selection) meter against it too. The "index.build" phase span
+	// opens under the trace span in BuildResumable's ctx, if any.
 	Telemetry *telemetry.Registry
 }
 
@@ -207,16 +208,6 @@ func (x *Index) CondensationEdges(i int) int {
 		return 0
 	}
 	return scc.NumEdges(e.dag)
-}
-
-// Component returns the component identifier of node v in world i (the
-// matrix I[v,i] of the paper), or -1 if world i is quarantined.
-func (x *Index) Component(v graph.NodeID, i int) int32 {
-	e := x.world(i)
-	if e == nil {
-		return -1
-	}
-	return e.comp[v]
 }
 
 // Scratch holds reusable per-goroutine buffers for queries.

@@ -9,6 +9,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/pool"
 	"soi/internal/rng"
+	"soi/internal/trace"
 	"soi/internal/worlds"
 )
 
@@ -67,10 +68,12 @@ func BuildResumable(ctx context.Context, g *graph.Graph, opts Options, cfg check
 	// worker — in whichever run — samples it.
 	master := rng.New(opts.Seed)
 	bm := newBuildMetrics(opts.Telemetry)
-	sp := opts.Telemetry.StartSpan("index.build")
+	workers := pool.Workers(opts.Workers, opts.Samples)
+	built := make(pool.Counts, workers) // worlds built this run, for the span
+	_, sp := trace.StartChild(ctx, "index.build")
 	runErr := pool.Run(ctx, opts.Samples,
-		pool.Options{Workers: opts.Workers, Progress: opts.Progress, Telemetry: opts.Telemetry},
-		func(_, i int) error {
+		pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: opts.Telemetry},
+		func(worker, i int) error {
 			if resumed.Get(i) {
 				return nil
 			}
@@ -78,11 +81,11 @@ func BuildResumable(ctx context.Context, g *graph.Graph, opts Options, cfg check
 				return err
 			}
 			idx.entries[i] = buildEntry(g, master.Split(uint64(i)), opts, bm)
-			sp.AddUnits(1)
+			built[worker]++
 			r.MarkDone(i, nil)
 			return nil
 		})
-	sp.End()
+	sp.EndUnits(built.Total())
 
 	var out *Index
 	err = r.Settle(runErr, func(partial *checkpoint.Bitmap) error {

@@ -271,6 +271,7 @@ func sharedIndexGain(x *index.Index, cov *index.Coverage, s *index.Scratch) (gai
 // Std runs the standard greedy influence maximization (InfMax_std): greedy
 // on the expected spread estimated over the ℓ worlds of the shared cascade
 // index, with CELF lazy evaluation. Gains are in expected-spread units.
+// Std takes no context and opens no span; a traced caller times it.
 func Std(x *index.Index, k int) (Selection, error) {
 	if err := validateK(k, x.Graph().NumNodes()); err != nil {
 		return Selection{}, err
@@ -278,13 +279,9 @@ func Std(x *index.Index, k int) (Selection, error) {
 	s := x.NewScratch()
 	cov := x.NewCoverage()
 	gain, commit := sharedIndexGain(x, cov, s)
-	tel := x.Telemetry()
-	sp := tel.StartSpan("infmax.std.greedy")
-	defer sp.End()
 	// Infallible callbacks under a context that is never canceled: no error.
 	sel, _ := celfGreedy(context.Background(), x.Graph().NumNodes(), k,
-		infallible(gain), infallible(commit), newGreedyMetrics(tel))
-	sp.AddUnits(int64(len(sel.Seeds)))
+		infallible(gain), infallible(commit), newGreedyMetrics(x.Telemetry()))
 	return sel, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // RRResumable selects k seeds by greedy max-cover over opts.Sets sampled
@@ -80,7 +81,7 @@ func RRResumable(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg
 	}
 	mSets := tel.Counter("infmax.rr_sets")
 	mSetSize := tel.Histogram("infmax.rr_set_size")
-	spSample := tel.StartSpan("infmax.rr.sample")
+	_, spSample := trace.StartChild(ctx, "infmax.rr.sample")
 	rev := g.Reverse()
 	master := rng.New(opts.Seed)
 	visited := make([]bool, n)
@@ -108,10 +109,9 @@ func RRResumable(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg
 		setOff[sets+1] = int32(len(setNodes))
 		mSets.Inc()
 		mSetSize.Observe(int64(len(buf)))
-		spSample.AddUnits(1)
 		r.MarkDone(sets, nil)
 	}
-	spSample.End()
+	spSample.EndUnits(int64(sets - first))
 
 	// Complete or not, the sets sampled so far are the CSR prefix up to
 	// sets.
@@ -177,8 +177,8 @@ func rrGreedy(ctx context.Context, g *graph.Graph, k int, setOff []int32, setNod
 		k = n
 	}
 	gm := newGreedyMetrics(tel)
-	sp := tel.StartSpan("infmax.rr.greedy")
-	defer sp.End()
+	_, sp := trace.StartChild(ctx, "infmax.rr.greedy")
+	defer func() { sp.EndUnits(int64(len(sel.Seeds))) }()
 	for round := 0; round < k; round++ {
 		if err := ctx.Err(); err != nil {
 			return Selection{}, err
@@ -205,7 +205,6 @@ func rrGreedy(ctx context.Context, g *graph.Graph, k int, setOff []int32, setNod
 		sel.Seeds = append(sel.Seeds, best)
 		sel.Gains = append(sel.Gains, float64(bestCount)*scale)
 		gm.commit(float64(bestCount) * scale)
-		sp.AddUnits(1)
 		// Mark every RR set containing best as covered and decrement the
 		// counts of their members — keeps counts exact for later rounds.
 		lo, hi := containing.off[best], containing.off[best+1]

@@ -28,8 +28,9 @@ type RROptions struct {
 	// Seed drives the sampling.
 	Seed uint64
 	// Telemetry, when non-nil, receives RR-sampling metrics (infmax.rr_sets,
-	// infmax.rr_set_size) and greedy metrics, under "infmax.rr.sample" and
-	// "infmax.rr.greedy" spans.
+	// infmax.rr_set_size) and greedy metrics. RRResumable's
+	// "infmax.rr.sample" and "infmax.rr.greedy" spans open under the trace
+	// span in its ctx.
 	Telemetry *telemetry.Registry
 }
 

@@ -18,15 +18,15 @@ import (
 // or grow an exhaustive sketch), so gains are nonnegative; Gains are in
 // expected-spread units, matching Std. The selection inherits the sketch's
 // (ε, δ) guarantee: the conformance suite holds it to
-// (1-1/e)·opt − slack with slack derived via statcheck.BottomK.
+// (1-1/e)·opt − slack with slack derived via statcheck.BottomKDelta.
+//
+// The selection takes no context and opens no span; a traced caller times
+// it with its own (soid's seeds.sketch_greedy).
 func SelectSeedsSketch(sk *sketch.Sketch, k int) (Selection, error) {
 	n := sk.Nodes()
 	if err := validateK(k, n); err != nil {
 		return Selection{}, err
 	}
-	tel := sk.Telemetry()
-	sp := tel.StartSpan("infmax.sketch.greedy")
-	defer sp.End()
 
 	var union []uint64 // merged sketch of the committed seeds
 	current := 0.0     // its spread estimate
@@ -41,7 +41,6 @@ func SelectSeedsSketch(sk *sketch.Sketch, k int) (Selection, error) {
 		return realized
 	}
 	// Infallible callbacks under a context that is never canceled: no error.
-	sel, _ := celfGreedy(context.Background(), n, k, infallible(gain), infallible(commit), newGreedyMetrics(tel))
-	sp.AddUnits(int64(len(sel.Seeds)))
+	sel, _ := celfGreedy(context.Background(), n, k, infallible(gain), infallible(commit), newGreedyMetrics(sk.Telemetry()))
 	return sel, nil
 }

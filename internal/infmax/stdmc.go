@@ -9,6 +9,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // MCOptions configures the Monte-Carlo greedy (the paper-faithful
@@ -25,8 +26,8 @@ type MCOptions struct {
 	// Workers bounds simulation parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// Telemetry, when non-nil, receives greedy and cascade metrics
-	// (infmax.gain_evals, cascade.trials, ...) plus an
-	// "infmax.stdmc.greedy" span.
+	// (infmax.gain_evals, cascade.trials, ...). The "infmax.stdmc.greedy"
+	// span opens under the trace span in StdMCCtx's ctx.
 	Telemetry *telemetry.Registry
 }
 
@@ -112,13 +113,12 @@ func StdMCCtx(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selec
 		return Selection{}, err
 	}
 	m := &mcState{ctx: ctx, g: g, opts: opts}
-	sp := opts.Telemetry.StartSpan("infmax.stdmc.greedy")
-	defer sp.End()
+	_, sp := trace.StartChild(ctx, "infmax.stdmc.greedy")
 	sel, err := celfGreedy(ctx, g.NumNodes(), k, m.gainErr, m.commitErr, newGreedyMetrics(opts.Telemetry))
+	sp.EndUnits(int64(len(sel.Seeds)))
 	if err != nil {
 		return Selection{}, err
 	}
-	sp.AddUnits(int64(len(sel.Seeds)))
 	return sel, nil
 }
 

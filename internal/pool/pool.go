@@ -58,6 +58,20 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
+// Counts tallies work per worker without synchronization: the worker with
+// id w adds to its own slot c[w], and Total sums the slots once Run has
+// returned. Size it with Workers and pass the same count to Run.
+type Counts []int64
+
+// Total sums every worker's slot.
+func (c Counts) Total() int64 {
+	var n int64
+	for _, v := range c {
+		n += v
+	}
+	return n
+}
+
 // Workers normalizes a requested worker count against a task count: values
 // <= 0 (including negatives) select GOMAXPROCS, and the result never
 // exceeds tasks (when tasks > 0) nor drops below 1.

@@ -96,6 +96,51 @@ func TestRequestIDAndSpanTree(t *testing.T) {
 	}
 }
 
+// findSpan returns the first span named name in the tree under sp.
+func findSpan(sp trace.SpanJSON, name string) *trace.SpanJSON {
+	if sp.Name == name {
+		return &sp
+	}
+	for _, c := range sp.Children {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// TestLibraryPhaseSpansInRequestTrace checks the library's phase spans land
+// inside the request's trace, under the handler span that called them:
+// cascade.expected_spread under spread.mc, infmax.tc.greedy under
+// seeds.greedy, each with its units.
+func TestLibraryPhaseSpansInRequestTrace(t *testing.T) {
+	s, _ := tracedServer(t, nil)
+	for _, tc := range []struct {
+		url, handler, phase string
+		units               int64
+	}{
+		{"/v1/spread?seeds=0&method=mc&trials=40", "spread.mc", "cascade.expected_spread", 40},
+		{"/v1/seeds?k=3", "seeds.greedy", "infmax.tc.greedy", 3},
+	} {
+		rec, _ := do(t, s, tc.url)
+		if rec.Code != 200 {
+			t.Fatalf("GET %s: status %d: %s", tc.url, rec.Code, rec.Body.String())
+		}
+		tj := getTrace(t, s, rec.Header().Get(trace.RequestIDHeader))
+		h := findSpan(tj.Spans[0], tc.handler)
+		if h == nil {
+			t.Fatalf("%s: no %s span in %+v", tc.url, tc.handler, tj.Spans[0])
+		}
+		if len(h.Children) != 1 || h.Children[0].Name != tc.phase {
+			t.Fatalf("%s: %s children = %+v, want one %s", tc.url, tc.handler, h.Children, tc.phase)
+		}
+		ph := h.Children[0]
+		if ph.Running || ph.Attrs[trace.UnitsAttr] != float64(tc.units) {
+			t.Fatalf("%s: %s = %+v, want ended with %d units", tc.url, tc.phase, ph, tc.units)
+		}
+	}
+}
+
 // TestTraceDegradedEvent forces a budget-truncated 206 and checks the trace
 // records the degradation event with its accounting, and that the trace is
 // retained as "partial" even at sample rate 0.

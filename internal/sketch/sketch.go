@@ -21,7 +21,7 @@
 // Estimates carry Cohen-style (ε, δ) relative-error bounds: the k-th order
 // statistic of uniform ranks concentrates, giving |est − exact| ≤ ε·exact
 // with probability 1−δ for ε = sqrt(6·ln(2/δ)/(k−1)) (see
-// statcheck.BottomK for the derivation used by the conformance suite).
+// statcheck.BottomKDelta for the derivation used by the conformance suite).
 package sketch
 
 import (
@@ -61,9 +61,10 @@ type Options struct {
 	// Progress, if non-nil, is called after each world's rank pass with
 	// (done, total). Calls are serialized.
 	Progress func(done, total int)
-	// Telemetry, if non-nil, receives a "sketch.build" span and build
-	// counters, and is retained on the Sketch so sketch-space greedy
-	// selection meters against it.
+	// Telemetry, if non-nil, receives build counters and is retained on the
+	// Sketch so sketch-space greedy selection meters against it. Build takes
+	// no context and opens no span; a traced caller times it (cmd/sphere's
+	// "sketch.build").
 	Telemetry *telemetry.Registry
 }
 
@@ -98,8 +99,6 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 	n := x.Graph().NumNodes()
 	worlds := x.NumWorlds()
 	tel := opts.Telemetry
-	sp := tel.StartSpan("sketch.build")
-	defer sp.End()
 
 	// Per-node bottom-k accumulators: heap[v*k : v*k+cnt[v]] is a max-heap
 	// of the k smallest ranks seen for v so far.
@@ -206,7 +205,6 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp.AddUnits(int64(worlds))
 	tel.Counter("sketch.build.worlds").Add(int64(worlds))
 	tel.Counter("sketch.build.ranks").Add(int64(total))
 	return s, nil
@@ -375,8 +373,8 @@ func (s *Sketch) EstimateSphereSize(v graph.NodeID) float64 {
 
 // RelativeError is the Cohen bottom-k relative error at confidence 1−δ:
 // ε = sqrt(6·ln(2/δ)/(k−1)), capped at 1. With probability at least 1−δ,
-// |estimate − exact| ≤ ε · exact (see statcheck.BottomK for the
-// concentration argument).
+// |estimate − exact| ≤ ε · exact (see statcheck.BottomKDelta for
+// the concentration argument).
 func RelativeError(k int, delta float64) float64 {
 	if k < 2 {
 		return 1

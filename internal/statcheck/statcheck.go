@@ -105,21 +105,16 @@ func (b Bound) Scale(r float64) Bound {
 	return nb
 }
 
-// BottomK returns the relative-error bound of the bottom-k cardinality
-// estimator (k-1)/rho_k at the default δ. The k-th smallest of m uniform
-// ranks is a Beta(k, m-k+1) order statistic; Chernoff bounds on the
-// binomial count of ranks below (1±ε)k/m give
+// BottomKDelta returns the relative-error bound of the bottom-k
+// cardinality estimator (k-1)/rho_k at failure probability δ. The k-th
+// smallest of m uniform ranks is a Beta(k, m-k+1) order statistic;
+// Chernoff bounds on the binomial count of ranks below (1±ε)k/m give
 //
 //	P[|est - m| > ε·m] <= 2·exp(-(k-1)·ε²/6)   for ε <= 1,
 //
 // so ε = sqrt(6·ln(2/δ)/(k-1)) fails with probability at most δ (Cohen
 // 1997; the constant 6 absorbs both tails' denominators). Eps is
 // *relative*: Scale by the exact cardinality for the additive form.
-func BottomK(k int) Bound {
-	return BottomKDelta(k, DefaultDelta)
-}
-
-// BottomKDelta is BottomK at an explicit failure probability δ.
 func BottomKDelta(k int, delta float64) Bound {
 	if k < 2 {
 		panic(fmt.Sprintf("statcheck: bottom-k needs k >= 2, got %d", k))

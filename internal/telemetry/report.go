@@ -32,20 +32,35 @@ type RunInfo struct {
 	GOMAXPROCS      int               `json:"gomaxprocs"`
 }
 
-// Report is the end-of-run snapshot: RunInfo plus every metric and span.
+// Report is the end-of-run snapshot: RunInfo, every metric, and the run's
+// phase tree.
 type Report struct {
 	Schema     string                       `json:"schema"`
 	RunInfo    RunInfo                      `json:"run_info"`
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []SpanSnapshot               `json:"spans,omitempty"`
+	// Spans is the run's phase tree. The registry holds no spans: a CLI
+	// fills this from the trace its phases ran under (trace.Span.Phases).
+	Spans []Phase `json:"spans,omitempty"`
+}
+
+// Phase is one timed phase of a run in the report's span tree: its wall
+// time, the units of work it processed (worlds, nodes, trials, seeds), and
+// the phases nested under it.
+type Phase struct {
+	Name      string  `json:"name"`
+	Seconds   float64 `json:"seconds"`
+	Units     int64   `json:"units,omitempty"`
+	UnitsPerS float64 `json:"units_per_second,omitempty"`
+	Running   bool    `json:"running,omitempty"` // phase had not ended at snapshot time
+	Children  []Phase `json:"children,omitempty"`
 }
 
 // Report snapshots the registry. Safe to call while workers are still
-// updating metrics (each value is read atomically); unended spans render
-// with Running=true. A nil registry reports only the schema and process
-// facts.
+// updating metrics (each value is read atomically). Spans is left empty
+// for the caller to fill. A nil registry reports only the schema and
+// process facts.
 func (r *Registry) Report() Report {
 	now := time.Now()
 	rep := Report{
@@ -101,9 +116,6 @@ func (r *Registry) Report() Report {
 		for name, h := range r.hists {
 			rep.Histograms[name] = h.Snapshot()
 		}
-	}
-	for _, s := range r.spans {
-		rep.Spans = append(rep.Spans, s.snapshot(now))
 	}
 	return rep
 }
@@ -171,7 +183,7 @@ func (rep Report) WriteTable(w io.Writer) {
 	}
 }
 
-func writeSpanRow(w io.Writer, s SpanSnapshot, depth int) {
+func writeSpanRow(w io.Writer, s Phase, depth int) {
 	indent := strings.Repeat("  ", depth)
 	fmt.Fprintf(w, "%s%-*s %8.3fs", indent, 40-2*depth, s.Name, s.Seconds)
 	if s.Units > 0 {

@@ -7,6 +7,12 @@
 // shows a scatter-gather request end to end — which shard timed out, which
 // leg was hedged, where the latency went.
 //
+// It is the repository's one span system. The library's phases
+// (index.build, core.compute_all, cascade.expected_spread, the infmax
+// greedies) open spans with StartChild under whatever span their ctx
+// carries: inside a request's trace in soid, or under a CLI run's root
+// span, whose subtree becomes the run report's span tree (Span.Phases).
+//
 // The design follows the telemetry package's one invariant: disabled tracing
 // must cost (almost) nothing. A nil *Tracer hands out nil *Spans, every Span
 // method is nil-safe, and instrumented code never branches on "tracing

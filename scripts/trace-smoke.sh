@@ -6,6 +6,8 @@
 # must appear in both processes (traceparent propagation), and (2) kill the
 # only shard-1 replica mid-query and assert the resulting 206's trace shows
 # the dead leg (errored soigw.leg with a retry) and the breaker opening.
+# Between the two, a Monte Carlo spread sent straight to a shard must show
+# the library's cascade.expected_spread span under the handler's spread.mc.
 #
 # On failure, set SOI_SMOKE_ARTIFACTS=<dir> to capture logs, request logs,
 # and /debug/traces dumps for offline triage (CI uploads these).
@@ -119,6 +121,24 @@ grep -q '"soid.spread"' "$work/shard-trace.json" || fail "shard trace lacks its 
 grep -Eq '"remote_parent": ?true' "$work/shard-trace.json" || \
   fail "shard span does not mark its gateway parent as remote"
 echo "trace-smoke: trace $rid links gateway and shard fragments via traceparent"
+
+# --- library phases ride the request trace: cascade.expected_spread is a --
+# child of the handler's spread.mc span in the shard's own trace ring.
+node="$(awk '!/^#/ && NF { print $1; exit }' "$work/net-shard0.tsv")"
+code="$(curl -s -D "$work/mc.hdrs" -o "$work/mc" -w '%{http_code}' \
+  "http://$a_addr/v1/spread?seeds=$node&method=mc&trials=200")"
+[ "$code" = 200 ] || { cat "$work/mc" >&2; fail "shard mc spread got $code, want 200"; }
+mrid="$(req_id "$work/mc.hdrs")"
+code="$(curl -s -o "$work/mc-trace.json" -w '%{http_code}' "http://$a_addr/debug/traces/$mrid")"
+[ "$code" = 200 ] || { cat "$work/mc-trace.json" >&2; fail "shard /debug/traces/$mrid got $code"; }
+nested="$(awk '
+  $1 == "\"span_id\":" { sid = $2; gsub(/[",]/, "", sid); pid = "" }
+  $1 == "\"parent_span_id\":" { pid = $2; gsub(/[",]/, "", pid) }
+  $1 == "\"name\":" && $2 ~ /^"spread\.mc"/ { mc = sid }
+  $1 == "\"name\":" && $2 ~ /^"cascade\.expected_spread"/ { under = pid }
+  END { print (mc != "" && under == mc) ? "yes" : "no" }' "$work/mc-trace.json")"
+[ "$nested" = yes ] || { cat "$work/mc-trace.json" >&2; fail "shard trace lacks cascade.expected_spread under spread.mc"; }
+echo "trace-smoke: trace $mrid shows cascade.expected_spread under spread.mc"
 
 # --- mid-query shard kill: the 206's trace shows the dead leg + breaker ---
 # Pin shard 1's compute with a 2s failpoint delay, fire a scatter, and kill

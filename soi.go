@@ -52,7 +52,7 @@ import (
 )
 
 // Telemetry is a race-safe, zero-dependency metrics registry: counters,
-// gauges, log-scale histograms, and phase spans. Attach one via the
+// gauges and log-scale histograms. Attach one via the
 // Telemetry field on IndexOptions, TypicalOptions, MCOptions, RROptions or
 // ResumeConfig and every compute phase reports into it; a nil registry
 // disables all instrumentation at the cost of one nil check per event.
@@ -64,8 +64,9 @@ type Telemetry = telemetry.Registry
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // TelemetryReport is the machine-readable run report (schema
-// telemetry.ReportSchema): run info, counters, gauges, histogram snapshots
-// and the span tree.
+// telemetry.ReportSchema): run info, counters, gauges and histogram
+// snapshots. Its span tree is filled by the command-line tools, from the
+// trace their phases ran under; a registry holds no spans.
 type TelemetryReport = telemetry.Report
 
 // TelemetryHandler serves r's metrics in Prometheus text exposition format;
@@ -349,8 +350,8 @@ func SelectSeedsStdMC(ctx context.Context, g *Graph, k int, opts MCOptions) (Sel
 }
 
 // TCOptions configures SelectSeedsTC; the zero value is ready to use. Its
-// Telemetry field (nil disables) receives greedy metrics and an
-// "infmax.tc.greedy" span, replacing the removed SelectSeedsTCTel.
+// Telemetry field (nil disables) receives greedy metrics, replacing the
+// removed SelectSeedsTCTel.
 type TCOptions = infmax.TCOptions
 
 // SelectSeedsTC runs the paper's InfMax_TC (Algorithm 3): greedy maximum
